@@ -72,9 +72,14 @@ def enumerate_normal_forms(n, table=None):
 
 
 def _flat_mul(x, y):
-    # Product of two matrices in scaled_key form (den exponent + 16
-    # numerator coefficients); same arithmetic as UMat2 but on flat
-    # tuples, kept separate so the oracle does not ride on UMat2.__mul__.
+    """Product of two matrices in scaled_key form (den exponent + 16
+    numerator coefficients).
+
+    UMat2.__mul__ computes the same product on the same layout.  This
+    copy is kept apart from it on purpose: brute_force_mn is an oracle
+    for the normal forms and for evaluate, so it must not ride on the
+    ring code it checks.
+    """
     k = x[0] + y[0]
     (xa0, xb0, xc0, xd0, xa1, xb1, xc1, xd1,
      xa2, xb2, xc2, xd2, xa3, xb3, xc3, xd3) = x[1:]

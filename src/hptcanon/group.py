@@ -174,9 +174,9 @@ def build_group(generators, limit=10000, t=ring.T):
         coset_slots.append(matches[0] if len(matches) == 1 else None)
     coset_slots = tuple(coset_slots)
 
-    zero = ring.ZERO
-    scalar_ids = tuple(i for i, m in enumerate(elements)
-                       if m.e01 == zero and m.e10 == zero and m.e00 == m.e11)
+    scalar_ids = tuple(i for i, (e00, e01, e10, e11)
+                       in enumerate(m.entries for m in elements)
+                       if not e01 and not e10 and e00 == e11)
 
     return GroupTable(tuple(name for name, _ in gens), elements, words,
                       index, gen_step, mul, inv, t, ct_ids, coset_slots,

@@ -46,6 +46,11 @@ def _default_context():
     return table, build_rules(table)
 
 
+def _missing_rules(caller):
+    raise TypeError(f"{caller}() got a table but no 'rules' argument; "
+                    "pass rules=build_rules(table) with it")
+
+
 def parse(text):
     """Clean a circuit string to its gate letters.
 
@@ -65,13 +70,79 @@ def parse(text):
     return "".join(gates)
 
 
+_H = 8
+_GENERIC = 9
+
+
+def _gate_steps():
+    # evaluate's step code per gate matrix: j for diag(1, omega**j), _H
+    # for H.  Any other matrix takes a generic product.
+    steps = {ring.H: _H}
+    w = ring.ONE
+    for j in range(8):
+        steps[ring.UMat2(ring.ONE, ring.ZERO, ring.ZERO, w)] = j
+        w = w * ring.OMEGA
+    return steps
+
+
+_STEPS = _gate_steps()
+
+
 def evaluate(circuit, gates=ring.GATES):
     """Exact matrix of a circuit: gate matrices multiplied in string
-    order, leftmost gate leftmost factor.  Empty circuit is the identity."""
-    m = ring.IDENTITY
+    order, leftmost gate leftmost factor.  Empty circuit is the identity.
+
+    An independent word-level product (it never consults the group
+    tables or the normalizer), run on the flat key of UMat2 held in 16
+    local numerators plus the sqrt2 exponent k.  Gates are recognised by
+    their matrix: diag(1, omega**j) rotates the coefficients of column 1
+    j times by omega, H replaces the columns by their sum and difference
+    with k + 1, and any other gate is a generic flat product.
+    """
+    steps = {ch: _STEPS.get(m, _GENERIC) for ch, m in gates.items()}
+    k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0
+    b3 = c3 = d3 = 0
+    a0 = a3 = 1
     for ch in circuit:
-        m = m * gates[ch]
-    return m
+        try:
+            step = steps[ch]
+        except KeyError:
+            raise ValueError(f"gate {ch!r} not in this basis") from None
+        if step == 1:
+            # T: column 1 times omega, (a, b, c, d) -> (-d, a, b, c).
+            a1, b1, c1, d1, a3, b3, c3, d3 = -d1, a1, b1, c1, -d3, a3, b3, c3
+        elif step == _H:
+            # H: columns become their sum and difference over sqrt2.
+            k += 1
+            a0, b0, c0, d0, a1, b1, c1, d1 = (
+                a0 + a1, b0 + b1, c0 + c1, d0 + d1,
+                a0 - a1, b0 - b1, c0 - c1, d0 - d1)
+            a2, b2, c2, d2, a3, b3, c3, d3 = (
+                a2 + a3, b2 + b3, c2 + c3, d2 + d3,
+                a2 - a3, b2 - b3, c2 - c3, d2 - d3)
+            while k and not ((a0 ^ c0) | (b0 ^ d0) | (a1 ^ c1) | (b1 ^ d1)
+                             | (a2 ^ c2) | (b2 ^ d2) | (a3 ^ c3)
+                             | (b3 ^ d3)) & 1:
+                # Every entry is divisible by sqrt2 (see ring._reduced).
+                a0, b0, c0, d0 = (b0 - d0) >> 1, (a0 + c0) >> 1, (b0 + d0) >> 1, (c0 - a0) >> 1
+                a1, b1, c1, d1 = (b1 - d1) >> 1, (a1 + c1) >> 1, (b1 + d1) >> 1, (c1 - a1) >> 1
+                a2, b2, c2, d2 = (b2 - d2) >> 1, (a2 + c2) >> 1, (b2 + d2) >> 1, (c2 - a2) >> 1
+                a3, b3, c3, d3 = (b3 - d3) >> 1, (a3 + c3) >> 1, (b3 + d3) >> 1, (c3 - a3) >> 1
+                k -= 1
+        elif step == 2:
+            # P: column 1 times omega**2 = i.
+            a1, b1, c1, d1, a3, b3, c3, d3 = -c1, -d1, a1, b1, -c3, -d3, a3, b3
+        elif step < _H:
+            for _ in range(step):
+                a1, b1, c1, d1, a3, b3, c3, d3 = (
+                    -d1, a1, b1, c1, -d3, a3, b3, c3)
+        else:
+            (k, a0, b0, c0, d0, a1, b1, c1, d1,
+             a2, b2, c2, d2, a3, b3, c3, d3) = ring._mat_mul(
+                (k, a0, b0, c0, d0, a1, b1, c1, d1,
+                 a2, b2, c2, d2, a3, b3, c3, d3), gates[ch].scaled_key())
+    return ring.UMat2._raw((k, a0, b0, c0, d0, a1, b1, c1, d1,
+                            a2, b2, c2, d2, a3, b3, c3, d3))
 
 
 def normalize(circuit, table=None, rules=None):
@@ -86,6 +157,8 @@ def normalize(circuit, table=None, rules=None):
     """
     if table is None:
         table, rules = _default_context()
+    elif rules is None:
+        _missing_rules("normalize")
     blocks = []
     pending = table.identity_id
     gen_pos = table._gen_pos
@@ -157,6 +230,8 @@ def invert(circuit, table=None, rules=None):
     """
     if table is None:
         table, rules = _default_context()
+    elif rules is None:
+        _missing_rules("invert")
     inv_words = {name: table.words[table.inv[gid]]
                  for name, gid in table.gen_ids.items()}
     t_inv = "T" + inv_words[table.gen_names[1]]

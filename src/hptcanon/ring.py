@@ -5,6 +5,12 @@ integer coefficients, using omega**4 = -1, omega**2 = i and
 sqrt2 = omega - omega**3.  All single-qubit matrices generated by H, P
 and T have entries of this shape, so circuit evaluation never leaves
 the ring and equality is decidable structurally.
+
+A UMat2 is kept flat, as the tuple (k, 16 integers) of its four entries'
+numerators over one common sqrt2**k with k as small as possible
+(Kliuchnikov, Maslov and Mosca, arXiv:1206.5236).  A product is then
+eight numerator convolutions and one joint reduction, with no
+per-entry objects.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ def _reduced(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int
 
 def _scaled(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int, int, int]:
     # Multiply the numerator by sqrt2**m, m >= 0.
+    if not m:
+        return a, b, c, d
     if m & 1:
         a, b, c, d = b - d, a + c, b + d, c - a
     f = 1 << (m >> 1)
@@ -151,107 +159,144 @@ class RingElem:
         return num if self._k == 0 else f"{num}/sqrt2^{self._k}"
 
 
-def _mul_add(x: RingElem, y: RingElem, z: RingElem, w: RingElem) -> RingElem:
-    # x*y + z*w with one reduction at the end; the workhorse of matrix
-    # multiplication.
-    a0, b0, c0, d0, k0 = x._a, x._b, x._c, x._d, x._k
-    a1, b1, c1, d1, k1 = y._a, y._b, y._c, y._d, y._k
-    pa = a0 * a1 - b0 * d1 - c0 * c1 - d0 * b1
-    pb = a0 * b1 + b0 * a1 - c0 * d1 - d0 * c1
-    pc = a0 * c1 + b0 * b1 + c0 * a1 - d0 * d1
-    pd = a0 * d1 + b0 * c1 + c0 * b1 + d0 * a1
-    pk = k0 + k1
-    a0, b0, c0, d0, k0 = z._a, z._b, z._c, z._d, z._k
-    a1, b1, c1, d1, k1 = w._a, w._b, w._c, w._d, w._k
-    qa = a0 * a1 - b0 * d1 - c0 * c1 - d0 * b1
-    qb = a0 * b1 + b0 * a1 - c0 * d1 - d0 * c1
-    qc = a0 * c1 + b0 * b1 + c0 * a1 - d0 * d1
-    qd = a0 * d1 + b0 * c1 + c0 * b1 + d0 * a1
-    qk = k0 + k1
-    if pk < qk:
-        pa, pb, pc, pd = _scaled(pa, pb, pc, pd, qk - pk)
-        pk = qk
-    elif qk < pk:
-        qa, qb, qc, qd = _scaled(qa, qb, qc, qd, pk - qk)
-    return RingElem._raw(*_reduced(pa + qa, pb + qb, pc + qc, pd + qd, pk))
+def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    # Flat 2x2 product of two keys: the exponents add, each output entry
+    # is a sum of two numerator products (as in RingElem.__mul__), and
+    # one joint sqrt2 reduction over all 16 numerators follows.
+    (k, p0, q0, r0, s0, p1, q1, r1, s1,
+     p2, q2, r2, s2, p3, q3, r3, s3) = x
+    (ky, a0, b0, c0, d0, a1, b1, c1, d1,
+     a2, b2, c2, d2, a3, b3, c3, d3) = y
+    k += ky
+    # Row 0 of x against columns 0 and 1 of y, then row 1.
+    e0 = p0*a0 - q0*d0 - r0*c0 - s0*b0 + p1*a2 - q1*d2 - r1*c2 - s1*b2
+    f0 = p0*b0 + q0*a0 - r0*d0 - s0*c0 + p1*b2 + q1*a2 - r1*d2 - s1*c2
+    g0 = p0*c0 + q0*b0 + r0*a0 - s0*d0 + p1*c2 + q1*b2 + r1*a2 - s1*d2
+    h0 = p0*d0 + q0*c0 + r0*b0 + s0*a0 + p1*d2 + q1*c2 + r1*b2 + s1*a2
+    e1 = p0*a1 - q0*d1 - r0*c1 - s0*b1 + p1*a3 - q1*d3 - r1*c3 - s1*b3
+    f1 = p0*b1 + q0*a1 - r0*d1 - s0*c1 + p1*b3 + q1*a3 - r1*d3 - s1*c3
+    g1 = p0*c1 + q0*b1 + r0*a1 - s0*d1 + p1*c3 + q1*b3 + r1*a3 - s1*d3
+    h1 = p0*d1 + q0*c1 + r0*b1 + s0*a1 + p1*d3 + q1*c3 + r1*b3 + s1*a3
+    e2 = p2*a0 - q2*d0 - r2*c0 - s2*b0 + p3*a2 - q3*d2 - r3*c2 - s3*b2
+    f2 = p2*b0 + q2*a0 - r2*d0 - s2*c0 + p3*b2 + q3*a2 - r3*d2 - s3*c2
+    g2 = p2*c0 + q2*b0 + r2*a0 - s2*d0 + p3*c2 + q3*b2 + r3*a2 - s3*d2
+    h2 = p2*d0 + q2*c0 + r2*b0 + s2*a0 + p3*d2 + q3*c2 + r3*b2 + s3*a2
+    e3 = p2*a1 - q2*d1 - r2*c1 - s2*b1 + p3*a3 - q3*d3 - r3*c3 - s3*b3
+    f3 = p2*b1 + q2*a1 - r2*d1 - s2*c1 + p3*b3 + q3*a3 - r3*d3 - s3*c3
+    g3 = p2*c1 + q2*b1 + r2*a1 - s2*d1 + p3*c3 + q3*b3 + r3*a3 - s3*d3
+    h3 = p2*d1 + q2*c1 + r2*b1 + s2*a1 + p3*d3 + q3*c3 + r3*b3 + s3*a3
+    # Joint reduction, as in _reduced: every entry needs e = g, f = h
+    # (mod 2).
+    while k and not ((e0 ^ g0) | (f0 ^ h0) | (e1 ^ g1) | (f1 ^ h1)
+                     | (e2 ^ g2) | (f2 ^ h2) | (e3 ^ g3) | (f3 ^ h3)) & 1:
+        e0, f0, g0, h0 = (f0 - h0) >> 1, (e0 + g0) >> 1, (f0 + h0) >> 1, (g0 - e0) >> 1
+        e1, f1, g1, h1 = (f1 - h1) >> 1, (e1 + g1) >> 1, (f1 + h1) >> 1, (g1 - e1) >> 1
+        e2, f2, g2, h2 = (f2 - h2) >> 1, (e2 + g2) >> 1, (f2 + h2) >> 1, (g2 - e2) >> 1
+        e3, f3, g3, h3 = (f3 - h3) >> 1, (e3 + g3) >> 1, (f3 + h3) >> 1, (g3 - e3) >> 1
+        k -= 1
+    return (k, e0, f0, g0, h0, e1, f1, g1, h1,
+            e2, f2, g2, h2, e3, f3, g3, h3)
 
 
 class UMat2:
-    """2x2 matrix over the ring; row-major entries e00, e01, e10, e11."""
+    """2x2 matrix over the ring, stored flat as its canonical key.
 
-    __slots__ = ("_e00", "_e01", "_e10", "_e11")
+    The key is (k, 16 integers): the entries e00, e01, e10, e11 in
+    row-major order, each as its four numerator coefficients over the
+    common denominator sqrt2**k, with k the least such exponent.  Equal
+    matrices have equal keys, so equality, hashing and JSON output read
+    the key directly.  The constructor takes four RingElem entries;
+    e00..e11 and entries rebuild RingElem views on demand.
+    """
+
+    __slots__ = ("_key",)
 
     def __init__(self, e00: RingElem, e01: RingElem, e10: RingElem,
                  e11: RingElem) -> None:
-        self._e00, self._e01, self._e10, self._e11 = e00, e01, e10, e11
+        # Per-entry canonical form makes the largest entry exponent the
+        # least common one, so the key needs no further reduction.
+        k = max(e00._k, e01._k, e10._k, e11._k)
+        key = [k]
+        for e in (e00, e01, e10, e11):
+            key += _scaled(e._a, e._b, e._c, e._d, k - e._k)
+        self._key = tuple(key)
 
-    @property
-    def e00(self) -> RingElem:
-        return self._e00
-
-    @property
-    def e01(self) -> RingElem:
-        return self._e01
-
-    @property
-    def e10(self) -> RingElem:
-        return self._e10
-
-    @property
-    def e11(self) -> RingElem:
-        return self._e11
+    @classmethod
+    def _raw(cls, key: tuple[int, ...]) -> UMat2:
+        # Internal: wrap a key already known to be canonical.
+        self = object.__new__(cls)
+        self._key = key
+        return self
 
     @property
     def entries(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:
-        return self._e00, self._e01, self._e10, self._e11
+        k, *n = self._key
+        return tuple(RingElem(*n[i:i + 4], k) for i in range(0, 16, 4))
+
+    e00 = property(lambda self: self.entries[0])
+    e01 = property(lambda self: self.entries[1])
+    e10 = property(lambda self: self.entries[2])
+    e11 = property(lambda self: self.entries[3])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UMat2):
             return NotImplemented
-        return (self._e00 == other._e00 and self._e01 == other._e01
-                and self._e10 == other._e10 and self._e11 == other._e11)
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self._e00, self._e01, self._e10, self._e11))
+        return hash(self._key)
 
     def __mul__(self, other: UMat2) -> UMat2:
         if not isinstance(other, UMat2):
             return NotImplemented
-        return UMat2(
-            _mul_add(self._e00, other._e00, self._e01, other._e10),
-            _mul_add(self._e00, other._e01, self._e01, other._e11),
-            _mul_add(self._e10, other._e00, self._e11, other._e10),
-            _mul_add(self._e10, other._e01, self._e11, other._e11),
-        )
+        return UMat2._raw(_mat_mul(self._key, other._key))
 
     def __neg__(self) -> UMat2:
-        return UMat2(-self._e00, -self._e01, -self._e10, -self._e11)
+        k, *n = self._key
+        return UMat2._raw((k, *(-v for v in n)))
 
     def adjoint(self) -> UMat2:
-        return UMat2(self._e00.conj(), self._e10.conj(),
-                     self._e01.conj(), self._e11.conj())
+        # Transpose, then conjugate each entry: (a, b, c, d) -> (a, -d, -c,
+        # -b).  Conjugation keeps every entry's sqrt2 divisibility, so the
+        # key stays canonical.
+        (k, a0, b0, c0, d0, a1, b1, c1, d1,
+         a2, b2, c2, d2, a3, b3, c3, d3) = self._key
+        return UMat2._raw((k, a0, -d0, -c0, -b0, a2, -d2, -c2, -b2,
+                           a1, -d1, -c1, -b1, a3, -d3, -c3, -b3))
 
     def apply(self, state: StateVec) -> StateVec:
+        x, y = state._c0, state._c1
+        kx, ky = x._k, y._k
+        xa, xb, xc, xd = x._a, x._b, x._c, x._d
+        ya, yb, yc, yd = y._a, y._b, y._c, y._d
+        if kx < ky:
+            xa, xb, xc, xd = _scaled(xa, xb, xc, xd, ky - kx)
+            kx = ky
+        elif ky < kx:
+            ya, yb, yc, yd = _scaled(ya, yb, yc, yd, kx - ky)
+        (k, p0, q0, r0, s0, p1, q1, r1, s1,
+         p2, q2, r2, s2, p3, q3, r3, s3) = self._key
+        k += kx
         return StateVec(
-            _mul_add(self._e00, state._c0, self._e01, state._c1),
-            _mul_add(self._e10, state._c0, self._e11, state._c1),
-        )
+            RingElem(p0*xa - q0*xd - r0*xc - s0*xb + p1*ya - q1*yd - r1*yc - s1*yb,
+                     p0*xb + q0*xa - r0*xd - s0*xc + p1*yb + q1*ya - r1*yd - s1*yc,
+                     p0*xc + q0*xb + r0*xa - s0*xd + p1*yc + q1*yb + r1*ya - s1*yd,
+                     p0*xd + q0*xc + r0*xb + s0*xa + p1*yd + q1*yc + r1*yb + s1*ya,
+                     k),
+            RingElem(p2*xa - q2*xd - r2*xc - s2*xb + p3*ya - q3*yd - r3*yc - s3*yb,
+                     p2*xb + q2*xa - r2*xd - s2*xc + p3*yb + q3*ya - r3*yd - s3*yc,
+                     p2*xc + q2*xb + r2*xa - s2*xd + p3*yc + q3*yb + r3*ya - s3*yd,
+                     p2*xd + q2*xc + r2*xb + s2*xa + p3*yd + q3*yc + r3*yb + s3*ya,
+                     k))
 
     def scaled_key(self) -> tuple[int, ...]:
         """Flat integer key: common denominator exponent, then the 16
-        numerator coefficients row-major.
-
-        Per-entry canonical form makes the common exponent minimal, so the
-        key is injective and safe for dedup sets and JSON round-trips.
-        """
-        kk = max(self._e00._k, self._e01._k, self._e10._k, self._e11._k)
-        out = [kk]
-        for e in (self._e00, self._e01, self._e10, self._e11):
-            out.extend(_scaled(e._a, e._b, e._c, e._d, kk - e._k))
-        return tuple(out)
+        numerator coefficients row-major.  Injective, so safe for dedup
+        sets and JSON round-trips."""
+        return self._key
 
     def to_json_dict(self) -> dict:
-        key = self.scaled_key()
+        key = self._key
         rows = [
             [list(key[1:5]), list(key[5:9])],
             [list(key[9:13]), list(key[13:17])],
@@ -259,12 +304,12 @@ class UMat2:
         return {"den_exp": key[0], "entries": rows}
 
     def to_complex(self) -> list[list[complex]]:
-        return [[self._e00.to_complex(), self._e01.to_complex()],
-                [self._e10.to_complex(), self._e11.to_complex()]]
+        e00, e01, e10, e11 = self.entries
+        return [[e00.to_complex(), e01.to_complex()],
+                [e10.to_complex(), e11.to_complex()]]
 
     def __repr__(self) -> str:
-        return (f"UMat2({self._e00!r}, {self._e01!r}, "
-                f"{self._e10!r}, {self._e11!r})")
+        return "UMat2({!r}, {!r}, {!r}, {!r})".format(*self.entries)
 
 
 class StateVec:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from hptcanon import census, ring
+from hptcanon.group import build_group
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
@@ -37,6 +38,89 @@ def test_evaluate():
     assert evaluate("TT") == ring.P
     assert evaluate("") == ring.IDENTITY
     assert evaluate("HHP") == evaluate("PHH")
+
+
+def test_evaluate_rejects_unknown_gate():
+    with pytest.raises(ValueError, match="gate 'X' not in this basis"):
+        evaluate("HXT")
+    with pytest.raises(ValueError, match="gate 'H' not in this basis"):
+        evaluate("TH", {"T": ring.T})
+
+
+def _oracle_key(word, gates):
+    # Independent route: fold census's flat product over the gate keys.
+    key = ring.IDENTITY.scaled_key()
+    for ch in word:
+        key = census._flat_mul(key, gates[ch].scaled_key())
+    return key
+
+
+def test_evaluate_matches_flat_oracle_on_all_words_up_to_eight():
+    # Grow the oracle keys one letter at a time: one flat product a word.
+    frontier = {"": ring.IDENTITY.scaled_key()}
+    checked = 0
+    for _ in range(9):
+        nxt = {}
+        for w, key in frontier.items():
+            assert evaluate(w).scaled_key() == key, w
+            checked += 1
+            for g in "HPT":
+                nxt[w + g] = census._flat_mul(key, ring.GATES[g].scaled_key())
+        frontier = nxt
+    assert checked == 9841
+
+
+def test_evaluate_matches_flat_oracle_on_long_words():
+    rng = random.Random(67)
+    for _ in range(3):
+        w = "".join(rng.choice("HPT") for _ in range(4000))
+        key = evaluate(w).scaled_key()
+        assert key == _oracle_key(w, ring.GATES)
+        assert key[0] > 50      # the sqrt2 exponent grows with the word
+
+
+_S = 2 ** -0.5
+_FLOAT_GATES = {"R": [[_S, _S], [-_S, _S]], "P": [[1, 0], [0, 1j]],
+                "T": [[1, 0], [0, complex(_S, _S)]]}
+
+
+def _float_product(word):
+    m = [[1, 0], [0, 1]]
+    for ch in word:
+        g = _FLOAT_GATES[ch]
+        m = [[m[i][0] * g[0][j] + m[i][1] * g[1][j] for j in range(2)]
+             for i in range(2)]
+    return m
+
+
+def test_evaluate_alternate_basis_matches_float_shadow():
+    # R is neither H nor diag(1, omega**j), so it takes the generic
+    # product; P and T keep their specialised steps.
+    gates = {"R": ring.R, "P": ring.P, "T": ring.T}
+    rng = random.Random(71)
+    words = ["".join(w) for k in range(0, 6) for w in product("RPT", repeat=k)]
+    words += ["".join(rng.choice("RPT") for _ in range(rng.randrange(6, 80)))
+              for _ in range(300)]
+    for w in words:
+        got = evaluate(w, gates)
+        for row, want in zip(got.to_complex(), _float_product(w)):
+            for x, y in zip(row, want):
+                assert abs(x - y) < 1e-9, w
+        assert got.scaled_key() == _oracle_key(w, gates)
+
+
+def test_missing_rules_is_a_named_type_error(table):
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    calls = [
+        lambda: normalize("HT", table),
+        lambda: normalize("RT", r_table),
+        lambda: invert("HT", table),
+        lambda: equivalent("HT", "TH", table),
+        lambda: t_count("HT", table),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="'rules' argument"):
+            call()
 
 
 def test_normalize_examples(table, rules):

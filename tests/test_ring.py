@@ -199,3 +199,23 @@ def test_matrix_hashing_matches_equality():
     b = ring.H * ring.P
     assert a == b and hash(a) == hash(b)
     assert a != ring.P * ring.H
+
+
+def test_matrix_from_mixed_exponent_entries_matches_products():
+    # Entries at different exponents, some given non-canonically, land on
+    # the same flat key as the matrix reached by products.
+    one = RingElem(2, 0, 0, 0, 2)                  # 2/2
+    root = RingElem(0, 2, 0, -2, 2)                # 2*sqrt2/2
+    diag = UMat2(one, ring.ZERO, ring.ZERO, root)  # diag(1, sqrt2)
+    built = UMat2(ring.SQRT2_INV, ring.ONE, ring.SQRT2_INV, -ring.ONE)
+    assert [e.k for e in built.entries] == [1, 0, 1, 0]
+    assert built == ring.H * diag and hash(built) == hash(ring.H * diag)
+    rng = random.Random(31)
+    for _ in range(300):
+        es = [rand_elem(rng, 4) for _ in range(4)]
+        m = UMat2(*es)
+        assert m.entries == tuple(es)
+        for reached in (ring.IDENTITY * m, ring.H * (ring.H * m),
+                        m * ring.T * ring.T.adjoint()):
+            assert reached == m and hash(reached) == hash(m)
+            assert reached.scaled_key() == m.scaled_key()
