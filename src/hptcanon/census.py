@@ -11,7 +11,8 @@ y-rotation) in place of H.
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
+from operator import attrgetter
 
 from . import ring
 from .group import build_group
@@ -47,10 +48,14 @@ class RemarkReport:
     ok: bool
 
 
-def count_closed_form(n, exact=False, order=192):
-    """|M_n|, or |M_=n| when exact=True (the layer of T-count exactly n)."""
+def _check_n(n):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+
+
+def count_closed_form(n, exact=False, order=192):
+    """|M_n|, or |M_=n| when exact=True (the layer of T-count exactly n)."""
+    _check_n(n)
     if exact:
         return order if n == 0 else 3 * order * 2 ** (n - 1)
     return order * (3 * 2 ** n - 2)
@@ -59,8 +64,13 @@ def count_closed_form(n, exact=False, order=192):
 def enumerate_normal_forms(n, table=None):
     """All normal forms with at most n blocks, deterministically:
     T-count ascending, then block tuples in product order, then the
-    Clifford tail by element id."""
-    order = table.order if table is not None else 192
+    Clifford tail by element id.  A negative n raises ValueError here,
+    not at the first item."""
+    _check_n(n)
+    return _normal_forms(n, table.order if table is not None else 192)
+
+
+def _normal_forms(n, order):
     for cliff in range(order):
         yield NormalForm((), cliff)
     first = (Block.T, Block.HT, Block.PHT)
@@ -112,30 +122,48 @@ def _flat_mul(x, y):
             a2, b2, c2, d2, a3, b3, c3, d3)
 
 
-def _scalar_action(key):
-    # A scalar matrix s*I with s = (+-1) * omega**j acts on a flat key as
-    # a signed permutation of the 16 coefficients (one omega rotation per
-    # power, sign carried through); return that fast action, or None if
-    # the scalar is not of this single-coefficient unit shape.
+def _omega_power(key):
+    # The j in 0..7 with key == omega**j * I (and -omega**j = omega**(j+4)),
+    # or None when the key is not a scalar unit of that shape.
     if key[0] != 0 or any(key[5:13]) or key[1:5] != key[13:17]:
         return None
-    coeffs = key[1:5]
-    nonzero = [(j, v) for j, v in enumerate(coeffs) if v]
+    nonzero = [(j, v) for j, v in enumerate(key[1:5]) if v]
     if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
         return None
     j, sign = nonzero[0]
-    perm, signs = list(range(4)), [1, 1, 1, 1]
-    for _ in range(j):
-        # multiply by omega: (a,b,c,d) -> (-d, a, b, c)
-        perm = [perm[3], perm[0], perm[1], perm[2]]
-        signs = [-signs[3], signs[0], signs[1], signs[2]]
-    idx = [0] + [base + p for base in (1, 5, 9, 13) for p in perm]
-    sgn = [1] + [sign * s for _ in (0, 1, 2, 3) for s in signs]
+    return j if sign == 1 else j + 4
 
-    def act(m):
-        return tuple(s * m[i] for s, i in zip(sgn, idx))
 
-    return act
+def _rotations(key):
+    """The eight keys omega**j * key, j = 0..7.
+
+    Multiplying by the unit omega maps each entry a + b*w + c*w^2 + d*w^3
+    to -d + a*w + b*w^2 + c*w^3 and keeps the denominator exponent
+    canonical, so every rotation is already a reduced key.
+    """
+    (k, a0, b0, c0, d0, a1, b1, c1, d1,
+     a2, b2, c2, d2, a3, b3, c3, d3) = key
+    na0, nb0, nc0, nd0 = -a0, -b0, -c0, -d0
+    na1, nb1, nc1, nd1 = -a1, -b1, -c1, -d1
+    na2, nb2, nc2, nd2 = -a2, -b2, -c2, -d2
+    na3, nb3, nc3, nd3 = -a3, -b3, -c3, -d3
+    return [
+        key,
+        (k, nd0, a0, b0, c0, nd1, a1, b1, c1,
+         nd2, a2, b2, c2, nd3, a3, b3, c3),
+        (k, nc0, nd0, a0, b0, nc1, nd1, a1, b1,
+         nc2, nd2, a2, b2, nc3, nd3, a3, b3),
+        (k, nb0, nc0, nd0, a0, nb1, nc1, nd1, a1,
+         nb2, nc2, nd2, a2, nb3, nc3, nd3, a3),
+        (k, na0, nb0, nc0, nd0, na1, nb1, nc1, nd1,
+         na2, nb2, nc2, nd2, na3, nb3, nc3, nd3),
+        (k, d0, na0, nb0, nc0, d1, na1, nb1, nc1,
+         d2, na2, nb2, nc2, d3, na3, nb3, nc3),
+        (k, c0, d0, na0, nb0, c1, d1, na1, nb1,
+         c2, d2, na2, nb2, c3, d3, na3, nb3),
+        (k, b0, c0, d0, na0, b1, c1, d1, na1,
+         b2, c2, d2, na2, b3, c3, d3, na3),
+    ]
 
 
 def brute_force_mn(n, table, max_n=4):
@@ -146,30 +174,30 @@ def brute_force_mn(n, table, max_n=4):
     group elements c.  Products are only taken against the previous
     layer's new matrices: c*T*m for older m is in M_{k-1} by definition
     and was produced at an earlier step.  The c loop is batched by
-    scalar orbit — c = s*r with s scalar — so each orbit costs one real
-    multiplication plus cheap coefficient rotations.
+    scalar orbit: c = omega**j * r, with r one representative per orbit
+    and j running over the powers of omega that are group elements.  Each
+    orbit costs one real multiplication r*(T*m); its other members are
+    read off the eight omega-rotations of that product.
 
     Returns (set of flat keys, per-layer new-matrix counts).
     """
+    _check_n(n)
     if n > max_n:
         raise LimitExceeded(f"oracle capped at n={max_n}, requested {n}")
     cliff_keys = [m.scaled_key() for m in table.elements]
     t_key = table.t_mat.scaled_key()
 
-    actions = []
-    for key in cliff_keys:
-        act = _scalar_action(key)
-        if act is not None:
-            actions.append(act)
+    powers = [j for j in map(_omega_power, cliff_keys) if j is not None]
     reps = []
     assigned = set()
     for key in cliff_keys:
         if key in assigned:
             continue
         reps.append(key)
-        assigned.update(act(key) for act in actions)
+        rots = _rotations(key)
+        assigned.update([rots[j] for j in powers])
     if len(assigned) != len(cliff_keys) or \
-            len(reps) * len(actions) != len(cliff_keys):
+            len(reps) * len(powers) != len(cliff_keys):
         raise VerificationFailure("scalar orbits do not tile the group")
 
     total = set(cliff_keys)
@@ -180,9 +208,8 @@ def brute_force_mn(n, table, max_n=4):
         for m in frontier:
             tm = _flat_mul(t_key, m)
             for r in reps:
-                p = _flat_mul(r, tm)
-                for act in actions:
-                    new.add(act(p))
+                rots = _rotations(_flat_mul(r, tm))
+                new.update([rots[j] for j in powers])
         new -= total
         total |= new
         layer_sizes.append(len(new))
@@ -194,18 +221,27 @@ def verify_uniqueness(n, table, with_oracle=True, oracle_max=4):
     """Evaluate every normal form with <= n blocks and check Theorem-1
     style uniqueness: all matrices pairwise distinct, counts equal to the
     closed forms, and (when enabled) the matrix set equal to the
-    brute-force oracle's."""
+    brute-force oracle's.
+
+    Forms arrive grouped by block tuple, so the product of the blocks is
+    taken once per tuple and multiplied by each Clifford tail; canonical
+    keys are unique, so this equals normal_form_matrix of every form.
+    """
     order = table.order
+    cliffs = table.elements
     seen = {}
     layer_counts = [0] * (n + 1)
-    for nf in enumerate_normal_forms(n, table):
-        key = normal_form_matrix(nf, table).scaled_key()
-        other = seen.get(key)
-        if other is not None:
-            raise VerificationFailure(
-                f"distinct normal forms share a matrix: {other} vs {nf}")
-        seen[key] = nf
-        layer_counts[len(nf.blocks)] += 1
+    for blocks, forms in groupby(enumerate_normal_forms(n, table),
+                                 key=attrgetter("blocks")):
+        prefix = normal_form_matrix(NormalForm(blocks, 0), table)
+        for nf in forms:
+            key = (prefix * cliffs[nf.cliff]).scaled_key()
+            other = seen.get(key)
+            if other is not None:
+                raise VerificationFailure(
+                    f"distinct normal forms share a matrix: {other} vs {nf}")
+            seen[key] = nf
+            layer_counts[len(blocks)] += 1
     for k, got in enumerate(layer_counts):
         want = count_closed_form(k, exact=True, order=order)
         if got != want:

@@ -80,7 +80,10 @@ class GroupTable:
         return self.elements[g]
 
     def element_id(self, mat):
-        return self.index[mat]
+        try:
+            return self.index[mat]
+        except KeyError:
+            raise ValueError("matrix is not an element of this group") from None
 
     def __contains__(self, mat):
         return mat in self.index
@@ -119,36 +122,40 @@ def build_group(generators, limit=10000, t=ring.T):
     elements = [ring.IDENTITY]
     words = [""]
     index = {ring.IDENTITY: 0}
+    # gen_step[pos][i] is the id of elements[i] * generator pos; element j
+    # is first reached as elements[parent[j]] * generator last[j].
+    gen_step = [[] for _ in gens]
+    parent = [None]
+    last = [None]
     queue = deque([0])
     while queue:
         i = queue.popleft()
         base = elements[i]
-        for name, mat in gens:
+        for pos, (name, mat) in enumerate(gens):
             prod = base * mat
-            if prod not in index:
+            j = index.get(prod)
+            if j is None:
                 if len(elements) >= limit:
                     raise ClosureExceedsLimit(limit)
-                index[prod] = len(elements)
+                j = index[prod] = len(elements)
                 elements.append(prod)
                 words.append(words[i] + name)
-                queue.append(index[prod])
+                parent.append(i)
+                last.append(pos)
+                queue.append(j)
+            gen_step[pos].append(j)
 
+    # Full multiplication table, filled left to right along each row:
+    # matrix(i) * matrix(j) = (matrix(i) * matrix(parent[j])) * generator,
+    # and parent[j] < j, so entry j is one step-table lookup from an entry
+    # already filled.  This costs table lookups only.
     n = len(elements)
-    gen_step = [[index[elements[i] * mat] for i in range(n)]
-                for _, mat in gens]
-
-    # Full multiplication table, filled by walking canonical words through
-    # the per-generator step tables; this costs table lookups only.
-    gen_pos = {name: pos for pos, (name, _) in enumerate(gens)}
-    word_seqs = [tuple(gen_pos[ch] for ch in w) for w in words]
+    steps = [(j, gen_step[last[j]], parent[j]) for j in range(1, n)]
     mul = []
     for i in range(n):
-        row = [0] * n
-        for j in range(n):
-            x = i
-            for gp in word_seqs[j]:
-                x = gen_step[gp][x]
-            row[j] = x
+        row = [i] * n
+        for j, step, p in steps:
+            row[j] = step[row[p]]
         mul.append(row)
 
     # Unitary, so inverse = adjoint; a finite closure contains it.

@@ -6,6 +6,7 @@ from hptcanon import census, ring
 from hptcanon.census import (LimitExceeded, brute_force_mn, count_closed_form,
                              enumerate_normal_forms, verify_remark_r,
                              verify_uniqueness)
+from hptcanon.group import build_group
 from hptcanon.normalize import Block, normal_form_matrix
 from hptcanon.ring import RingElem, UMat2
 
@@ -78,6 +79,25 @@ def test_oracle_matches_naive_closure_small(table):
         assert fast == _naive_closure(n, table)
 
 
+def test_oracle_partial_scalar_orbits():
+    # <P> holds no scalar but the identity, so each orbit is one element.
+    p_table = build_group([("P", ring.P)])
+    assert p_table.scalar_ids == (0,)
+    for n in range(0, 4):
+        fast, _ = brute_force_mn(n, p_table)
+        assert fast == _naive_closure(n, p_table)
+
+
+def test_rotations_are_omega_scalar_products(table):
+    scalars, w = [], ring.ONE
+    for _ in range(8):
+        scalars.append(UMat2(w, ring.ZERO, ring.ZERO, w))
+        w = w * ring.OMEGA
+    for m in table.elements:
+        rots = census._rotations(m.scaled_key())
+        assert rots == [(s * m).scaled_key() for s in scalars]
+
+
 def test_oracle_counts_and_layers(table):
     matrices, layers = brute_force_mn(4, table)
     assert len(matrices) == 8832
@@ -87,9 +107,12 @@ def test_oracle_counts_and_layers(table):
 
 
 def test_oracle_strict_containment(table):
-    prev, _ = brute_force_mn(0, table)
+    prev, layers = brute_force_mn(0, table)
+    assert layers == (192,)
     for n in range(1, 5):
-        cur, _ = brute_force_mn(n, table)
+        cur, layers = brute_force_mn(n, table)
+        assert layers == tuple(count_closed_form(k, exact=True)
+                               for k in range(n + 1))
         assert prev < cur
         assert len(cur) - len(prev) == count_closed_form(n, exact=True)
         prev = cur
@@ -124,6 +147,18 @@ def test_oracle_limit(table):
         brute_force_mn(5, table)
     big, _ = brute_force_mn(5, table, max_n=5)
     assert len(big) == count_closed_form(5)
+
+
+def test_negative_n_is_rejected(table):
+    msg = "n must be >= 0, got -1"
+    with pytest.raises(ValueError, match=msg):
+        count_closed_form(-1)
+    with pytest.raises(ValueError, match=msg):
+        enumerate_normal_forms(-1, table)
+    with pytest.raises(ValueError, match=msg):
+        brute_force_mn(-1, table)
+    with pytest.raises(ValueError, match=msg):
+        verify_uniqueness(-1, table)
 
 
 def test_verify_uniqueness_with_oracle(table):

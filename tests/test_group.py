@@ -63,6 +63,18 @@ def test_mul_table_matches_matrix_products(table):
             table.matrix(i) * table.matrix(j)
 
 
+@pytest.mark.parametrize("gens", [(("H", ring.H), ("P", ring.P)),
+                                  (("R", ring.R), ("P", ring.P))],
+                         ids=["HP", "RP"])
+def test_mul_table_complete(gens):
+    t = build_group(gens)
+    assert t.order == 192
+    for i, a in enumerate(t.elements):
+        row = t.mul[i]
+        for j, b in enumerate(t.elements):
+            assert row[j] == t.index[a * b]
+
+
 def test_inverse_table(table):
     for g in range(table.order):
         assert table.mul_id(table.inv_id(g), g) == 0
@@ -142,6 +154,12 @@ def test_scalar_subgroup(table):
         expected.add(w)
         w = w * ring.OMEGA
     assert omega_powers == expected
+
+
+def test_element_id_rejects_non_members(table):
+    assert table.element_id(ring.P) == table.gen_ids["P"]
+    with pytest.raises(ValueError, match="not an element of this group"):
+        table.element_id(ring.T)
 
 
 def test_quotient_profile(table):
