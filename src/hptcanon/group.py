@@ -58,8 +58,9 @@ class GroupTable:
         self.scalar_ids = scalar_ids
         self.identity_id = 0
         self._gen_pos = {name: pos for pos, name in enumerate(gen_names)}
-        self.gen_ids = {name: gen_step[pos][0]
-                        for pos, name in enumerate(gen_names)}
+        # letter_step[name][i] is the id of matrix(i) * generator `name`.
+        self.letter_step = dict(zip(gen_names, gen_step))
+        self.gen_ids = {name: row[0] for name, row in self.letter_step.items()}
         self.block_labels = tuple(
             ("" if lbl == "I" else lbl) + "T" for lbl in syndrome_labels)
         self.block_matrices = tuple(
@@ -97,10 +98,13 @@ class GroupTable:
     def word_id(self, word, start=0):
         """Id of matrix(start) * f(word) for a word over the generators."""
         g = start
-        step = self.gen_step
-        pos = self._gen_pos
+        steps = self.letter_step
         for ch in word:
-            g = step[pos[ch]][g]
+            try:
+                step = steps[ch]
+            except KeyError:
+                raise ValueError(f"gate {ch!r} not in this basis") from None
+            g = step[g]
         return g
 
 

@@ -51,6 +51,13 @@ def _missing_rules(caller):
                     "pass rules=build_rules(table) with it")
 
 
+# Translation tables that delete the gate letters, every accepted letter
+# other than whitespace, and the letters parse skips (I . |).
+_GATES = str.maketrans("", "", "HPT")
+_ACCEPTED = str.maketrans("", "", "HPTI.|")
+_IGNORED = str.maketrans("", "", "I.|")
+
+
 def parse(text):
     """Clean a circuit string to its gate letters.
 
@@ -59,15 +66,16 @@ def parse(text):
     an "|I" tail) parse back.  Anything else raises ParseError with the
     offending position.
     """
-    gates = []
-    for pos, ch in enumerate(text):
-        if ch in "HPT":
-            gates.append(ch)
-        elif ch == "I" or ch.isspace() or ch in ".|":
-            continue
-        else:
-            raise ParseError(pos, ch)
-    return "".join(gates)
+    # str.translate rather than text.translate, so that a non-string
+    # raises TypeError.
+    if not str.translate(text, _GATES):
+        return text
+    rest = text.translate(_ACCEPTED)
+    if rest and not rest.isspace():
+        for pos, ch in enumerate(text):
+            if not (ch in "HPTI.|" or ch.isspace()):
+                raise ParseError(pos, ch)
+    return "".join(text.translate(_IGNORED).split())
 
 
 _H = 8
@@ -145,48 +153,57 @@ def evaluate(circuit, gates=ring.GATES):
                             a2, b2, c2, d2, a3, b3, c3, d3))
 
 
+def _fold(circuit, table, rules):
+    """normalize's pass: (list of block slots, Clifford id)."""
+    blocks = []
+    pending = table.identity_id
+    letter_step = table.letter_step
+    slots = rules.slots
+    w1s = rules.w1_ids
+    merge = rules.merge
+    for ch in circuit:
+        if ch != "T":
+            try:
+                pending = letter_step[ch][pending]
+            except KeyError:
+                raise ValueError(f"gate {ch!r} not in this basis") from None
+        elif slot := slots[pending]:
+            blocks.append(slot)
+            pending = w1s[pending]
+        elif blocks:
+            pending = merge[blocks.pop()][w1s[pending]]
+        else:
+            blocks.append(0)
+            pending = w1s[pending]
+    return blocks, pending
+
+
+_BLOCKS = tuple(Block)
+_BLOCK_SET = frozenset(_BLOCKS)
+
+
 def normalize(circuit, table=None, rules=None):
     """Normal form of a circuit in one left-to-right pass.
 
     State is a block stack plus a pending Clifford (initially identity).
-    H/P fold into pending via the multiplication table.  Each T looks up
+    H/P fold into pending by one step-table lookup.  Each T looks up
     pending*T = S*T*W1: a non-identity syndrome S pushes block S*T, and
     an identity syndrome either starts the chain with a bare T or pops
-    the previous block X*T, merging T*T into P (pending becomes X*P*W1).
-    Amortized O(1) table lookups per gate.
+    the previous block X*T, merging T*T into P (pending becomes X*P*W1,
+    one lookup in rules.merge).  Amortized O(1) table lookups per gate.
     """
     if table is None:
         table, rules = _default_context()
     elif rules is None:
         _missing_rules("normalize")
-    blocks = []
-    pending = table.identity_id
-    gen_pos = table._gen_pos
-    gen_step = table.gen_step
-    mul = table.mul
-    slots = rules.slots
-    w1s = rules.w1_ids
-    syn_ids = table.syndrome_ids
-    p_id = table.gen_ids[table.gen_names[1]]
-    for ch in circuit:
-        if ch != "T":
-            try:
-                pending = gen_step[gen_pos[ch]][pending]
-            except KeyError:
-                raise ValueError(f"gate {ch!r} not in this basis") from None
-            continue
-        slot = slots[pending]
-        w1 = w1s[pending]
-        if slot != 0:
-            blocks.append(slot)
-            pending = w1
-        elif not blocks:
-            blocks.append(0)
-            pending = w1
-        else:
-            x = blocks.pop()
-            pending = mul[mul[syn_ids[x]][p_id]][w1]
-    return NormalForm(tuple(Block(b) for b in blocks), pending)
+    blocks, cliff = _fold(circuit, table, rules)
+    return NormalForm(tuple(map(_BLOCKS.__getitem__, blocks)), cliff)
+
+
+def _check_form(nf, table):
+    if not (0 <= nf.cliff < len(table.elements)
+            and _BLOCK_SET.issuperset(nf.blocks)):
+        raise ValueError(f"{nf!r} is not a normal form of this table")
 
 
 def render(nf, table=None):
@@ -194,14 +211,16 @@ def render(nf, table=None):
     Clifford word ('I' when empty)."""
     if table is None:
         table, _ = _default_context()
-    head = ".".join(table.block_labels[b] for b in nf.blocks)
-    return head + "|" + (table.words[nf.cliff] or "I")
+    _check_form(nf, table)
+    return (".".join(map(table.block_labels.__getitem__, nf.blocks))
+            + "|" + (table.words[nf.cliff] or "I"))
 
 
 def normal_form_matrix(nf, table=None):
     """Exact matrix of a normal form, without re-parsing its rendering."""
     if table is None:
         table, _ = _default_context()
+    _check_form(nf, table)
     m = ring.IDENTITY
     for b in nf.blocks:
         m = m * table.block_matrices[b]
@@ -211,13 +230,21 @@ def normal_form_matrix(nf, table=None):
 def equivalent(c1, c2, table=None, rules=None):
     """Exact equality of the two circuits' matrices, decided structurally
     on normal forms."""
-    return normalize(c1, table, rules) == normalize(c2, table, rules)
+    if table is None:
+        table, rules = _default_context()
+    elif rules is None:
+        _missing_rules("equivalent")
+    return _fold(c1, table, rules) == _fold(c2, table, rules)
 
 
 def t_count(circuit, table=None, rules=None):
     """Minimal number of T gates over all circuits computing the same
     matrix; the block count of the normal form."""
-    return len(normalize(circuit, table, rules).blocks)
+    if table is None:
+        table, rules = _default_context()
+    elif rules is None:
+        _missing_rules("t_count")
+    return len(_fold(circuit, table, rules)[0])
 
 
 def invert(circuit, table=None, rules=None):
@@ -226,7 +253,8 @@ def invert(circuit, table=None, rules=None):
     The word is reversed letterwise with each Clifford generator replaced
     by its inverse's canonical word and T by T followed by the phase
     gate's inverse word (T**-1 = T**7 = T*P**3), then normalized.  The
-    T count is preserved.
+    T count is preserved.  A letter outside the basis passes through
+    unchanged and normalize rejects it.
     """
     if table is None:
         table, rules = _default_context()
@@ -234,8 +262,6 @@ def invert(circuit, table=None, rules=None):
         _missing_rules("invert")
     inv_words = {name: table.words[table.inv[gid]]
                  for name, gid in table.gen_ids.items()}
-    t_inv = "T" + inv_words[table.gen_names[1]]
-    parts = []
-    for ch in reversed(circuit):
-        parts.append(t_inv if ch == "T" else inv_words[ch])
-    return normalize("".join(parts), table, rules)
+    inv_words["T"] = "T" + inv_words[table.gen_names[1]]
+    return normalize(str.translate(circuit[::-1], str.maketrans(inv_words)),
+                     table, rules)

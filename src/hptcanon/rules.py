@@ -21,12 +21,20 @@ class RuleDerivationFailure(Exception):
 
 
 class RuleTable:
-    """One rule per group element, indexed by the W0 element id."""
+    """One rule per group element, indexed by the W0 element id.
+
+    `merge[x][w1]` is the pending element after a T whose rule has the
+    identity syndrome meets a previous block x: X*T*T*W1 = X*P*W1, with X
+    the block's syndrome and P = T*T the second generator.
+    """
 
     def __init__(self, table, slots, w1_ids):
         self.table = table
         self.slots = slots
         self.w1_ids = w1_ids
+        mul = table.mul
+        p_id = table.gen_ids[table.gen_names[1]]
+        self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)
 
     def rule_for(self, w0):
         """(CosetTag, W1 id) with f(W0)*T = f(S)*T*f(W1)."""

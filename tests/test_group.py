@@ -177,3 +177,8 @@ def test_word_id_walks_products(table):
         for ch in word:
             m = m * ring.GATES[ch]
         assert table.word_id(word) == table.element_id(m)
+
+
+def test_word_id_rejects_unknown_letter(table):
+    with pytest.raises(ValueError, match="gate 'X' not in this basis"):
+        table.word_id("HX")

@@ -34,6 +34,43 @@ def test_parse_rejects_everything_else():
     assert err.value.position == 0
 
 
+def _parse_reference(text):
+    # Per-character reference parser: keep H/P/T, skip I, '.', '|' and
+    # whitespace, and reject the first other character.
+    gates = []
+    for pos, ch in enumerate(text):
+        if ch in "HPT":
+            gates.append(ch)
+        elif ch == "I" or ch.isspace() or ch in ".|":
+            continue
+        else:
+            raise ParseError(pos, ch)
+    return "".join(gates)
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except ParseError as err:
+        return "error", err.position, err.character
+
+
+def test_parse_matches_per_character_reference():
+    spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+    assert len(spaces) > 20
+    chars = spaces + [chr(cp) for cp in range(0x3100)]
+    for ch in chars:
+        for context in ("H?T", "?", "PT|?", "\tI. ?"):
+            text = context.replace("?", ch)
+            assert _outcome(parse, text) == _outcome(_parse_reference,
+                                                     text), repr(text)
+
+
+def test_parse_rejects_non_strings():
+    with pytest.raises(TypeError):
+        parse(None)
+
+
 def test_evaluate():
     assert evaluate("TT") == ring.P
     assert evaluate("") == ring.IDENTITY
@@ -123,6 +160,13 @@ def test_missing_rules_is_a_named_type_error(table):
             call()
 
 
+def test_missing_rules_error_names_the_function(table):
+    with pytest.raises(TypeError, match=r"^t_count\(\)"):
+        t_count("HT", table)
+    with pytest.raises(TypeError, match=r"^equivalent\(\)"):
+        equivalent("HT", "TH", table)
+
+
 def test_normalize_examples(table, rules):
     nf = normalize("HPPHT", table, rules)
     assert nf.blocks == (Block.T,)
@@ -172,6 +216,38 @@ def test_roundtrip_and_idempotence(table, rules):
         text = render(nf, table)
         assert evaluate(parse(text)) == evaluate(w)
         assert normalize(parse(text), table, rules) == nf
+
+
+@pytest.mark.parametrize("density", [0.05, 0.33, 0.70])
+def test_long_words_agree_with_evaluate_and_invert(table, rules, density):
+    rng = random.Random(int(density * 100))
+    w = "".join("T" if rng.random() < density else rng.choice("HP")
+                for _ in range(20_000))
+    nf = normalize(w, table, rules)
+    assert all(b is Block(b) for b in nf.blocks)
+    assert normal_form_matrix(nf, table) == evaluate(w)
+    assert t_count(w, table, rules) == len(nf.blocks)
+    back = render(invert(w, table, rules), table)
+    assert render(normalize(parse(w + back), table, rules), table) == "|I"
+
+
+@pytest.mark.parametrize("nf", [
+    NormalForm((), 500), NormalForm((), 192), NormalForm((), -1),
+    NormalForm((Block.HT, 7), 0), NormalForm((-1,), 0),
+])
+def test_foreign_normal_form_is_a_named_value_error(table, nf):
+    with pytest.raises(ValueError, match="not a normal form of this table"):
+        normal_form_matrix(nf, table)
+    with pytest.raises(ValueError, match="not a normal form of this table"):
+        render(nf, table)
+
+
+def test_plain_int_blocks_are_accepted(table):
+    nf = NormalForm((0, 2), 3)
+    as_blocks = NormalForm((Block.T, Block.PHT), 3)
+    assert render(nf, table) == render(as_blocks, table)
+    assert normal_form_matrix(nf, table) == normal_form_matrix(as_blocks,
+                                                               table)
 
 
 def test_normal_form_matrix_agrees_with_render(table, rules):
@@ -241,6 +317,11 @@ def test_invert_examples(table, rules):
     assert normal_form_matrix(nf, table) * evaluate("HT") == ring.IDENTITY
 
 
+def test_invert_rejects_unknown_gate(table, rules):
+    with pytest.raises(ValueError, match="gate 'X' not in this basis"):
+        invert("HXT", table, rules)
+
+
 def test_invert_preserves_block_count_up_to_four(table, rules):
     for nf in census.enumerate_normal_forms(4, table):
         inv = invert(parse(render(nf, table)), table, rules)
@@ -267,7 +348,7 @@ class _CountingGrid:
 
 
 def test_lookup_bound_is_two_per_gate(table, rules):
-    # Count logical lookups (generator step, multiplication, rule) through
+    # Count logical lookups (generator step, merge, rule) through
     # proxy tables; the push/pop argument bounds them by 2n.
     rng = random.Random(61)
     cases = ["", "T", "TT", "TTTT", "HPPHT", "T" * 40]
@@ -277,16 +358,12 @@ def test_lookup_bound_is_two_per_gate(table, rules):
         hits = []
         fake_table = SimpleNamespace(
             identity_id=table.identity_id,
-            _gen_pos=table._gen_pos,
-            gen_names=table.gen_names,
-            gen_ids=table.gen_ids,
-            syndrome_ids=table.syndrome_ids,
-            gen_step=_CountingGrid(table.gen_step, hits),
-            mul=_CountingGrid(table.mul, hits),
+            letter_step=_CountingGrid(table.letter_step, hits),
         )
         fake_rules = SimpleNamespace(
             slots=_CountingRow(rules.slots, hits),
             w1_ids=rules.w1_ids,
+            merge=_CountingGrid(rules.merge, hits),
         )
         nf = normalize(w, fake_table, fake_rules)
         assert nf == normalize(w, table, rules)
