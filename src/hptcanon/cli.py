@@ -7,15 +7,14 @@ no timestamps and no iteration over unordered containers.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
 
 from . import census, rules as rules_mod, stab, verify
-from .group import build_standard_table, coset_of
-from .normalize import (ParseError, equivalent, evaluate, normal_form_matrix,
-                        normalize, parse, render, t_count)
+from .group import coset_of
+from .normalize import (ParseError, _default_context, equivalent, evaluate,
+                        normal_form_matrix, normalize, parse, render, t_count)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,29 +99,19 @@ def _build_parser():
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _context():
-    table = build_standard_table()
-    return table, rules_mod.build_rules(table)
-
-
 def _cmd_normalize(args):
-    table, rules = _context()
-    print(render(normalize(parse(args.circuit), table, rules), table))
+    print(render(normalize(parse(args.circuit))))
     return 0
 
 
 def _cmd_equiv(args):
-    table, rules = _context()
-    same = equivalent(parse(args.circuit1), parse(args.circuit2),
-                      table, rules)
+    same = equivalent(parse(args.circuit1), parse(args.circuit2))
     print("equivalent" if same else "inequivalent")
     return 0
 
 
 def _cmd_tcount(args):
-    table, rules = _context()
-    print(t_count(parse(args.circuit), table, rules))
+    print(t_count(parse(args.circuit)))
     return 0
 
 
@@ -140,7 +129,7 @@ def _stab_line(st):
 
 
 def _cmd_stab(args):
-    table, rules = _context()
+    table, rules = _default_context()
     nf = normalize(parse(args.circuit), table, rules)
     st = stab.initial_stab(nf.cliff, table)
     print(_stab_line(st))
@@ -152,7 +141,7 @@ def _cmd_stab(args):
 
 def _cmd_count(args):
     if args.oracle:
-        table, _ = _context()
+        table, _ = _default_context()
         matrices, _ = census.brute_force_mn(args.n, table)
         print(len(matrices))
     else:
@@ -161,7 +150,7 @@ def _cmd_count(args):
 
 
 def _cmd_enumerate(args):
-    table, _ = _context()
+    table, _ = _default_context()
     write = sys.stdout.write
     for nf in census.enumerate_normal_forms(args.n, table):
         obj = {
@@ -175,7 +164,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_tables(args):
-    table, rules = _context()
+    table, rules = _default_context()
     if args.dump_group:
         for gid in range(table.order):
             word = table.words[gid] or "I"

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import ring
-from .normalize import Block, normal_form_matrix
+from .normalize import Block, _check_form, normal_form_matrix
 
 
 class NotSignedPauli(Exception):
@@ -79,15 +79,19 @@ def initial_stab(w0, table):
                          "a signed Pauli")
 
 
+# Plain ints: an enum class attribute costs a lookup on every block.
+_T, _HT, _PHT = map(int, (Block.T, Block.HT, Block.PHT))
+
+
 def step_block(st, block):
     """Triple for block * (current state); one more sqrt2 in the
     denominator, pure integer updates on the six coefficients."""
     (xa, xb), (ya, yb), (za, zb) = st.x, st.y, st.z
-    if block == Block.T:
+    if block == _T:
         nxt = (xa - ya, xb - yb), (xa + ya, xb + yb), (2 * zb, za)
-    elif block == Block.HT:
+    elif block == _HT:
         nxt = (2 * zb, za), (-xa - ya, -xb - yb), (xa - ya, xb - yb)
-    elif block == Block.PHT:
+    elif block == _PHT:
         nxt = (xa + ya, xb + yb), (2 * zb, za), (xa - ya, xb - yb)
     else:
         raise ValueError(f"unknown block {block!r}")
@@ -102,7 +106,9 @@ def classify(st):
 
 def stab_of_normal_form(nf, table):
     """Fold step_block over the blocks from rightmost (adjacent to the
-    Clifford tail) to leftmost, starting from the tail's axis."""
+    Clifford tail) to leftmost, starting from the tail's axis.  A form
+    that does not belong to the table raises ValueError."""
+    _check_form(nf, table)
     st = initial_stab(nf.cliff, table)
     for b in reversed(nf.blocks):
         st = step_block(st, b)

@@ -1,5 +1,6 @@
 import pytest
 
+from hptcanon import verify
 from hptcanon.group import build_standard_table
 from hptcanon.rules import build_rules
 
@@ -22,6 +23,12 @@ def table():
 @pytest.fixture(scope="session")
 def rules(table):
     return build_rules(table)
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """One `verify.run_all()` at its defaults, results by check name."""
+    return {res.name: res for res in verify.run_all()}
 
 
 @pytest.fixture(scope="session")

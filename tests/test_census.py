@@ -1,5 +1,7 @@
 """Normal-form enumeration, counting formulas, brute-force oracles."""
 
+from collections import Counter
+
 import pytest
 
 from hptcanon import census, ring
@@ -29,9 +31,12 @@ def test_closed_form_consistency():
 
 
 def test_enumeration_counts(table):
-    for n in range(0, 7):
-        got = sum(1 for _ in enumerate_normal_forms(n, table))
-        assert got == count_closed_form(n)
+    for n in range(0, 12):
+        layers = Counter(len(nf.blocks)
+                         for nf in enumerate_normal_forms(n, table))
+        assert sum(layers.values()) == count_closed_form(n)
+        assert layers == {k: count_closed_form(k, exact=True)
+                          for k in range(n + 1)}
 
 
 def test_enumeration_layers_and_shape(table):
@@ -98,19 +103,25 @@ def test_rotations_are_omega_scalar_products(table):
         assert rots == [(s * m).scaled_key() for s in scalars]
 
 
-def test_oracle_counts_and_layers(table):
-    matrices, layers = brute_force_mn(4, table)
+@pytest.fixture(scope="module")
+def oracle_runs(table):
+    """`brute_force_mn(n)` for n = 0..4, computed once for this module."""
+    return [brute_force_mn(n, table) for n in range(0, 5)]
+
+
+def test_oracle_counts_and_layers(oracle_runs):
+    matrices, layers = oracle_runs[4]
     assert len(matrices) == 8832
     assert layers == (192, 576, 1152, 2304, 4608)
     for n, width in enumerate(layers):
         assert width == count_closed_form(n, exact=True)
 
 
-def test_oracle_strict_containment(table):
-    prev, layers = brute_force_mn(0, table)
+def test_oracle_strict_containment(oracle_runs):
+    prev, layers = oracle_runs[0]
     assert layers == (192,)
     for n in range(1, 5):
-        cur, layers = brute_force_mn(n, table)
+        cur, layers = oracle_runs[n]
         assert layers == tuple(count_closed_form(k, exact=True)
                                for k in range(n + 1))
         assert prev < cur
@@ -118,8 +129,8 @@ def test_oracle_strict_containment(table):
         prev = cur
 
 
-def test_oracle_recurrence(table):
-    sizes = [len(brute_force_mn(n, table)[0]) for n in range(0, 5)]
+def test_oracle_recurrence(oracle_runs):
+    sizes = [len(matrices) for matrices, _ in oracle_runs]
     for n in range(1, 5):
         assert sizes[n] == 2 * sizes[n - 1] + 384
 
@@ -162,11 +173,12 @@ def test_negative_n_is_rejected(table):
 
 
 def test_verify_uniqueness_with_oracle(table):
-    report = verify_uniqueness(2, table)
-    assert report.ok
-    assert report.normal_form_count == 1920
-    assert report.distinct_matrix_count == 1920
-    assert report.oracle_count == 1920
+    for n, size in enumerate([192, 768, 1920, 4224]):
+        report = verify_uniqueness(n, table)
+        assert report.ok
+        assert report.normal_form_count == size
+        assert report.distinct_matrix_count == size
+        assert report.oracle_count == size
 
 
 def test_verify_uniqueness_enumeration_only(table):

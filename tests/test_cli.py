@@ -1,10 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from hptcanon import cli
+from hptcanon import cli, verify
 
 
 def run(capsys, *argv):
@@ -188,12 +189,36 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
-def test_verify_reports_all_checks(capsys):
+def _stub_run_all(monkeypatch, results):
+    calls = []
+
+    def run_all(**kwargs):
+        calls.append(kwargs)
+        return results
+    monkeypatch.setattr(verify, "run_all", run_all)
+    return calls
+
+
+def test_verify_reports_all_checks(capsys, monkeypatch, checks):
+    # The real run is the session's `checks`; this replays its results.
+    results = list(checks.values())
+    calls = _stub_run_all(monkeypatch, results)
     code, out, err = run(capsys, "verify", "--tmax", "3", "--oracle-max", "3")
+    assert calls == [{"tmax": 3, "oracle_max": 3}]
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 13
-    assert all(ln.startswith("PASS ") for ln in lines)
-    assert any("group-order" in ln for ln in lines)
+    assert len(results) == 13
+    assert out == "".join(f"PASS {r.name}: {r.detail}\n" for r in results)
     # timings go to standard error, keeping standard output reproducible
-    assert "s" in err and "group-order" in err
+    assert err == "".join(f"{r.name}: {r.seconds:.2f}s\n" for r in results)
+
+
+def test_verify_failure_exits_2(capsys, monkeypatch, checks):
+    results = list(checks.values())
+    results[3] = dataclasses.replace(results[3], ok=False)
+    calls = _stub_run_all(monkeypatch, results)
+    code, out, _ = run(capsys, "verify")
+    assert calls == [{"tmax": 5, "oracle_max": 4}]
+    assert code == 2
+    lines = out.splitlines()
+    assert lines.pop(3) == f"FAIL appendix-fixture: {results[3].detail}"
+    assert len(lines) == 12 and all(ln.startswith("PASS ") for ln in lines)

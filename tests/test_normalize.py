@@ -11,6 +11,7 @@ from hptcanon.group import build_group
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
+from hptcanon.stab import stab_of_normal_form
 
 
 def test_parse_plain_and_whitespace():
@@ -240,6 +241,8 @@ def test_foreign_normal_form_is_a_named_value_error(table, nf):
         normal_form_matrix(nf, table)
     with pytest.raises(ValueError, match="not a normal form of this table"):
         render(nf, table)
+    with pytest.raises(ValueError, match="not a normal form of this table"):
+        stab_of_normal_form(nf, table)
 
 
 def test_plain_int_blocks_are_accepted(table):
