@@ -10,9 +10,9 @@ y-rotation) in place of H.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import groupby, product
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import ring
 from .group import build_group
@@ -30,8 +30,7 @@ class VerificationFailure(Exception):
     first counterexample."""
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     n: int
     normal_form_count: int
     distinct_matrix_count: int
@@ -40,8 +39,7 @@ class CensusReport:
     ok: bool
 
 
-@dataclass
-class RemarkReport:
+class RemarkReport(NamedTuple):
     group_order: int
     decomposition_ok: bool
     census: CensusReport | None
@@ -217,7 +215,7 @@ def brute_force_mn(n, table, max_n=4):
     return total, tuple(layer_sizes)
 
 
-def verify_uniqueness(n, table, with_oracle=True, oracle_max=4):
+def verify_uniqueness(n, table, with_oracle=True):
     """Evaluate every normal form with <= n blocks and check Theorem-1
     style uniqueness: all matrices pairwise distinct, counts equal to the
     closed forms, and (when enabled) the matrix set equal to the
@@ -254,7 +252,7 @@ def verify_uniqueness(n, table, with_oracle=True, oracle_max=4):
 
     oracle_count = None
     if with_oracle:
-        okeys, _ = brute_force_mn(n, table, max_n=oracle_max)
+        okeys, _ = brute_force_mn(n, table, max_n=n)
         oracle_count = len(okeys)
         if set(seen) != okeys:
             extra = next(iter(set(seen) - okeys), None)
@@ -283,7 +281,7 @@ def verify_remark_r(n=3, rng=None):
     except RuleDerivationFailure:
         return RemarkReport(table.order, False, None, False)
 
-    census = verify_uniqueness(n, table, oracle_max=max(n, 4))
+    census = verify_uniqueness(n, table)
 
     rng = rng or random.Random(20260825)
     gates = {"R": ring.R, "P": ring.P, "T": ring.T}

@@ -13,7 +13,7 @@ import sys
 
 from . import census, rules as rules_mod, stab, verify
 from .group import coset_of
-from .normalize import (ParseError, _default_context, equivalent, evaluate,
+from .normalize import (ParseError, _default_rules, equivalent, evaluate,
                         normal_form_matrix, normalize, parse, render, t_count)
 
 
@@ -129,9 +129,8 @@ def _stab_line(st):
 
 
 def _cmd_stab(args):
-    table, rules = _default_context()
-    nf = normalize(parse(args.circuit), table, rules)
-    st = stab.initial_stab(nf.cliff, table)
+    nf = normalize(parse(args.circuit))
+    st = stab.initial_stab(nf.cliff, _default_rules().table)
     print(_stab_line(st))
     for block in reversed(nf.blocks):
         st = stab.step_block(st, block)
@@ -141,8 +140,7 @@ def _cmd_stab(args):
 
 def _cmd_count(args):
     if args.oracle:
-        table, _ = _default_context()
-        matrices, _ = census.brute_force_mn(args.n, table)
+        matrices, _ = census.brute_force_mn(args.n, _default_rules().table)
         print(len(matrices))
     else:
         print(census.count_closed_form(args.n, exact=args.exact))
@@ -150,7 +148,7 @@ def _cmd_count(args):
 
 
 def _cmd_enumerate(args):
-    table, _ = _default_context()
+    table = _default_rules().table
     write = sys.stdout.write
     for nf in census.enumerate_normal_forms(args.n, table):
         obj = {
@@ -164,7 +162,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_tables(args):
-    table, rules = _default_context()
+    rules = _default_rules()
+    table = rules.table
     if args.dump_group:
         for gid in range(table.order):
             word = table.words[gid] or "I"

@@ -57,7 +57,6 @@ class GroupTable:
         self.syndrome_labels = syndrome_labels
         self.scalar_ids = scalar_ids
         self.identity_id = 0
-        self._gen_pos = {name: pos for pos, name in enumerate(gen_names)}
         # letter_step[name][i] is the id of matrix(i) * generator `name`.
         self.letter_step = dict(zip(gen_names, gen_step))
         self.gen_ids = {name: row[0] for name, row in self.letter_step.items()}
@@ -70,13 +69,6 @@ class GroupTable:
     def order(self):
         return len(self.elements)
 
-    @property
-    def diameter(self):
-        return max(len(w) for w in self.words)
-
-    def word(self, g):
-        return self.words[g]
-
     def matrix(self, g):
         return self.elements[g]
 
@@ -88,12 +80,6 @@ class GroupTable:
 
     def __contains__(self, mat):
         return mat in self.index
-
-    def mul_id(self, i, j):
-        return self.mul[i][j]
-
-    def inv_id(self, g):
-        return self.inv[g]
 
     def word_id(self, word, start=0):
         """Id of matrix(start) * f(word) for a word over the generators."""
@@ -218,11 +204,6 @@ def coset_of(table, g):
     if slot is None:
         raise ValueError(f"element {g} has no unique syndrome coset")
     return CosetTag(slot)
-
-
-def scalar_subgroup(table):
-    """Ids of the scalar matrices (global phases) in the group."""
-    return table.scalar_ids
 
 
 def subgroup_closure(table, ids):

@@ -41,14 +41,23 @@ class NormalForm(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _default_context():
-    table = build_standard_table()
-    return table, build_rules(table)
+def _default_rules():
+    """The standard H/P rules; their `.table` is the standard table."""
+    return build_rules(build_standard_table())
 
 
-def _missing_rules(caller):
-    raise TypeError(f"{caller}() got a table but no 'rules' argument; "
-                    "pass rules=build_rules(table) with it")
+def _resolve_rules(caller, table, rules):
+    # The slow path of the (table, rules) preamble: callers skip this call
+    # when rules is given and table is rules.table.
+    if rules is None:
+        if table is None:
+            return _default_rules()
+        raise TypeError(f"{caller}() got a table but no 'rules' argument; "
+                        "pass rules=build_rules(table) with it")
+    if table is None:
+        return rules
+    raise ValueError(f"{caller}() got a table that is not rules.table; "
+                     "pass rules alone, or the table they were built from")
 
 
 # Translation tables that delete the gate letters, every accepted letter
@@ -153,8 +162,9 @@ def evaluate(circuit, gates=ring.GATES):
                             a2, b2, c2, d2, a3, b3, c3, d3))
 
 
-def _fold(circuit, table, rules):
+def _fold(circuit, rules):
     """normalize's pass: (list of block slots, Clifford id)."""
+    table = rules.table
     blocks = []
     pending = table.identity_id
     letter_step = table.letter_step
@@ -192,11 +202,9 @@ def normalize(circuit, table=None, rules=None):
     the previous block X*T, merging T*T into P (pending becomes X*P*W1,
     one lookup in rules.merge).  Amortized O(1) table lookups per gate.
     """
-    if table is None:
-        table, rules = _default_context()
-    elif rules is None:
-        _missing_rules("normalize")
-    blocks, cliff = _fold(circuit, table, rules)
+    if rules is None or table is not rules.table:
+        rules = _resolve_rules("normalize", table, rules)
+    blocks, cliff = _fold(circuit, rules)
     return NormalForm(tuple(map(_BLOCKS.__getitem__, blocks)), cliff)
 
 
@@ -210,7 +218,7 @@ def render(nf, table=None):
     """Text form: blocks joined with '.', then '|', then the canonical
     Clifford word ('I' when empty)."""
     if table is None:
-        table, _ = _default_context()
+        table = _default_rules().table
     _check_form(nf, table)
     return (".".join(map(table.block_labels.__getitem__, nf.blocks))
             + "|" + (table.words[nf.cliff] or "I"))
@@ -219,7 +227,7 @@ def render(nf, table=None):
 def normal_form_matrix(nf, table=None):
     """Exact matrix of a normal form, without re-parsing its rendering."""
     if table is None:
-        table, _ = _default_context()
+        table = _default_rules().table
     _check_form(nf, table)
     m = ring.IDENTITY
     for b in nf.blocks:
@@ -230,21 +238,17 @@ def normal_form_matrix(nf, table=None):
 def equivalent(c1, c2, table=None, rules=None):
     """Exact equality of the two circuits' matrices, decided structurally
     on normal forms."""
-    if table is None:
-        table, rules = _default_context()
-    elif rules is None:
-        _missing_rules("equivalent")
-    return _fold(c1, table, rules) == _fold(c2, table, rules)
+    if rules is None or table is not rules.table:
+        rules = _resolve_rules("equivalent", table, rules)
+    return _fold(c1, rules) == _fold(c2, rules)
 
 
 def t_count(circuit, table=None, rules=None):
     """Minimal number of T gates over all circuits computing the same
     matrix; the block count of the normal form."""
-    if table is None:
-        table, rules = _default_context()
-    elif rules is None:
-        _missing_rules("t_count")
-    return len(_fold(circuit, table, rules)[0])
+    if rules is None or table is not rules.table:
+        rules = _resolve_rules("t_count", table, rules)
+    return len(_fold(circuit, rules)[0])
 
 
 def invert(circuit, table=None, rules=None):
@@ -256,10 +260,9 @@ def invert(circuit, table=None, rules=None):
     T count is preserved.  A letter outside the basis passes through
     unchanged and normalize rejects it.
     """
-    if table is None:
-        table, rules = _default_context()
-    elif rules is None:
-        _missing_rules("invert")
+    if rules is None or table is not rules.table:
+        rules = _resolve_rules("invert", table, rules)
+    table = rules.table
     inv_words = {name: table.words[table.inv[gid]]
                  for name, gid in table.gen_ids.items()}
     inv_words["T"] = "T" + inv_words[table.gen_names[1]]

@@ -139,10 +139,6 @@ class RingElem:
         # canonicality (the parity pattern is symmetric in b and d).
         return RingElem._raw(self._a, -self._d, -self._c, -self._b, self._k)
 
-    def times_sqrt2(self) -> RingElem:
-        a, b, c, d = self._a, self._b, self._c, self._d
-        return RingElem(b - d, a + c, b + d, c - a, self._k)
-
     def to_complex(self) -> complex:
         # Float projection for diagnostics and cross-checks only; the
         # library itself never computes with floats.

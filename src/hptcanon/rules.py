@@ -23,9 +23,11 @@ class RuleDerivationFailure(Exception):
 class RuleTable:
     """One rule per group element, indexed by the W0 element id.
 
-    `merge[x][w1]` is the pending element after a T whose rule has the
-    identity syndrome meets a previous block x: X*T*T*W1 = X*P*W1, with X
-    the block's syndrome and P = T*T the second generator.
+    `table` is the GroupTable the rules were derived from, so a RuleTable
+    is the whole context the normalizer needs.  `merge[x][w1]` is the
+    pending element after a T whose rule has the identity syndrome meets
+    a previous block x: X*T*T*W1 = X*P*W1, with X the block's syndrome
+    and P = T*T the second generator.
     """
 
     def __init__(self, table, slots, w1_ids):

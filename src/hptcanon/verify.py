@@ -1,28 +1,27 @@
 """Self-contained invariant suite behind the `verify` CLI subcommand.
 
-Each check rebuilds what it needs, runs one verification from the test
-battery (group structure, rewrite rules, counting, normalizer soundness,
-stabilizer chains, the published-table fixture, the R-basis remark), and
-reports pass/fail with a one-line detail.  Checks are pure and ordered;
-output is deterministic.  This is the only implementation of the
-headline checks: the test suite's acceptance gate asserts on these
-results and their exact details.
+Each check takes `ctx`, a dict holding the standard `table` and the
+`rules` built from it (run_all builds them once and shares them), runs
+one verification from the test battery (group structure, rewrite rules,
+counting, normalizer soundness, stabilizer chains, the published-table
+fixture, the R-basis remark), and reports pass/fail with a one-line
+detail.  Checks are pure and ordered; output is deterministic.  This is
+the only implementation of the headline checks: the test suite's
+acceptance gate asserts on these results and their exact details.
 """
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
-from .group import (build_standard_table, quotient_profile, scalar_subgroup,
-                    subgroup_ct)
+from .group import build_standard_table, quotient_profile, subgroup_ct
 from .normalize import (Block, NormalForm, evaluate, invert,
                         normal_form_matrix, normalize, parse, render)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -54,7 +53,7 @@ def check_coset_structure(ctx):
           and subgroup_ct(table) == table.ct_ids
           and counts == [64, 64, 64]
           and None not in table.coset_slots
-          and len(scalar_subgroup(table)) == 8
+          and len(table.scalar_ids) == 8
           and (qorder, qabelian, qorders) == (8, False, {1: 1, 2: 5, 4: 2}))
     return _result("coset-structure", t0, ok,
                    f"|C_T|={len(table.ct_ids)} cosets={counts} "
@@ -117,8 +116,7 @@ def check_counting(ctx, nmax=12):
 
 def check_oracle(ctx, oracle_max=4):
     t0 = time.perf_counter()
-    report = census.verify_uniqueness(oracle_max, ctx["table"],
-                                      oracle_max=oracle_max)
+    report = census.verify_uniqueness(oracle_max, ctx["table"])
     dt = time.perf_counter() - t0
     ok = report.ok and dt < 10.0
     return _result("oracle-match", t0, ok,
@@ -325,9 +323,8 @@ _CHECKS = (
 
 
 def run_all(tmax=5, oracle_max=4):
-    table = build_standard_table()
-    rules = rules_mod.build_rules(table)
-    ctx = {"table": table, "rules": rules}
+    rules = rules_mod.build_rules(build_standard_table())
+    ctx = {"table": rules.table, "rules": rules}
     kwargs = {"uniqueness": {"tmax": tmax},
               "oracle-match": {"oracle_max": oracle_max}}
     results = []

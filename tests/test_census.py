@@ -6,8 +6,7 @@ import pytest
 
 from hptcanon import census, ring
 from hptcanon.census import (LimitExceeded, brute_force_mn, count_closed_form,
-                             enumerate_normal_forms, verify_remark_r,
-                             verify_uniqueness)
+                             enumerate_normal_forms, verify_uniqueness)
 from hptcanon.group import build_group
 from hptcanon.normalize import Block, normal_form_matrix
 from hptcanon.ring import RingElem, UMat2
@@ -141,10 +140,9 @@ def _matrix_from_key(key):
     return UMat2(*es)
 
 
-def test_exact_layers_closed_under_inverse(table):
+def test_exact_layers_closed_under_inverse(oracle_runs):
     prev = set()
-    for n in range(0, 4):
-        cur, _ = brute_force_mn(n, table)
+    for n, (cur, _) in enumerate(oracle_runs[:4]):
         exact = cur - prev
         assert len(exact) == count_closed_form(n, exact=True)
         for key in exact:
@@ -179,13 +177,9 @@ def test_verify_uniqueness_with_oracle(table):
         assert report.normal_form_count == size
         assert report.distinct_matrix_count == size
         assert report.oracle_count == size
-
-
-def test_verify_uniqueness_enumeration_only(table):
-    report = verify_uniqueness(5, table, with_oracle=False)
+    report = verify_uniqueness(2, table, with_oracle=False)
     assert report.ok
-    assert report.normal_form_count == 18048
-    assert report.distinct_matrix_count == 18048
+    assert report.normal_form_count == report.distinct_matrix_count == 1920
     assert report.oracle_count is None
 
 
@@ -194,12 +188,3 @@ def test_enumerated_matrices_equal_oracle_set(table):
             for nf in enumerate_normal_forms(3, table)}
     oracle, _ = brute_force_mn(3, table)
     assert keys == oracle
-
-
-def test_remark_basis():
-    report = verify_remark_r(3)
-    assert report.ok
-    assert report.decomposition_ok
-    assert report.group_order == 192
-    assert report.census.ok
-    assert report.census.normal_form_count == 4224

@@ -1,6 +1,5 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
-import dataclasses
 import json
 
 import pytest
@@ -214,7 +213,7 @@ def test_verify_reports_all_checks(capsys, monkeypatch, checks):
 
 def test_verify_failure_exits_2(capsys, monkeypatch, checks):
     results = list(checks.values())
-    results[3] = dataclasses.replace(results[3], ok=False)
+    results[3] = results[3]._replace(ok=False)
     calls = _stub_run_all(monkeypatch, results)
     code, out, _ = run(capsys, "verify")
     assert calls == [{"tmax": 5, "oracle_max": 4}]

@@ -11,6 +11,7 @@ from hptcanon.group import build_group
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
+from hptcanon.rules import build_rules
 from hptcanon.stab import stab_of_normal_form
 
 
@@ -147,8 +148,9 @@ def test_evaluate_alternate_basis_matches_float_shadow():
         assert got.scaled_key() == _oracle_key(w, gates)
 
 
-def test_missing_rules_is_a_named_type_error(table):
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
+def test_missing_rules_is_a_named_type_error(table, rules):
+    r_rules = build_rules(build_group([("R", ring.R), ("P", ring.P)]))
+    r_table = r_rules.table
     calls = [
         lambda: normalize("HT", table),
         lambda: normalize("RT", r_table),
@@ -159,6 +161,28 @@ def test_missing_rules_is_a_named_type_error(table):
     for call in calls:
         with pytest.raises(TypeError, match="'rules' argument"):
             call()
+    # A table with rules built for another table is refused by name.
+    for name, call in [
+        ("normalize", lambda: normalize("RPTRTPRT", r_table, rules)),
+        ("invert", lambda: invert("HT", table, r_rules)),
+        ("equivalent", lambda: equivalent("HT", "TH", r_table, rules)),
+        ("t_count", lambda: t_count("HT", table, r_rules)),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name}\(\).*rules\.table"):
+            call()
+    # Rules alone carry their table: every entry point reads the words in
+    # the <R,P> basis, never in the default tables.
+    gates = {"R": ring.R, "P": ring.P, "T": ring.T}
+    words = ["".join(w) for k in range(0, 5) for w in product("RPT", repeat=k)]
+    for w in words:
+        m = evaluate(w, gates)
+        nf = normalize(w, rules=r_rules)
+        assert normal_form_matrix(nf, r_table) == m, w
+        assert t_count(w, rules=r_rules) == len(nf.blocks)
+        assert equivalent(w, "PPPP" + w, rules=r_rules)
+        assert not equivalent(w, w + "T", rules=r_rules)
+        inv = normal_form_matrix(invert(w, rules=r_rules), r_table)
+        assert inv * m == ring.IDENTITY, w
 
 
 def test_missing_rules_error_names_the_function(table):
@@ -364,6 +388,7 @@ def test_lookup_bound_is_two_per_gate(table, rules):
             letter_step=_CountingGrid(table.letter_step, hits),
         )
         fake_rules = SimpleNamespace(
+            table=fake_table,
             slots=_CountingRow(rules.slots, hits),
             w1_ids=rules.w1_ids,
             merge=_CountingGrid(rules.merge, hits),

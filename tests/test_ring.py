@@ -53,7 +53,7 @@ def test_canonicalize_examples():
     # confirm the numerator is recovered.
     e = RingElem(1, 1, 1, 1, 1)
     assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 1, 0, 0)
-    assert e.times_sqrt2() == RingElem(1, 1, 1, 1, 0)
+    assert e * ring.SQRT2 == RingElem(1, 1, 1, 1, 0)
 
 
 def test_canonicalize_idempotent_and_value_preserving():
@@ -101,7 +101,7 @@ def test_sqrt2_roundtrip():
     rng = random.Random(23)
     for _ in range(300):
         x = rand_elem(rng, 4)
-        up = x.times_sqrt2()
+        up = x * ring.SQRT2
         assert RingElem(up.a, up.b, up.c, up.d, up.k + 1) == x
 
 

@@ -52,8 +52,8 @@ def test_syndrome_sections_pair_with_identity_section(rules, table):
     ph = table.syndrome_ids[2]
     for w0 in table.ct_ids:
         _, w1 = rules.rule_for(w0)
-        tag_h, w1_h = rules.rule_for(table.mul_id(h, w0))
-        tag_ph, w1_ph = rules.rule_for(table.mul_id(ph, w0))
+        tag_h, w1_h = rules.rule_for(table.mul[h][w0])
+        tag_ph, w1_ph = rules.rule_for(table.mul[ph][w0])
         assert (tag_h, w1_h) == (CosetTag.S_H, w1)
         assert (tag_ph, w1_ph) == (CosetTag.S_PH, w1)
 

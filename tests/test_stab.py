@@ -1,12 +1,11 @@
 """Stabilizer triples, block transitions, parity classes, witnesses."""
 
-import random
 from itertools import product
 
 import pytest
 
-from hptcanon import ring, stab
-from hptcanon.normalize import Block, NormalForm, normal_form_matrix
+from hptcanon import ring
+from hptcanon.normalize import Block, NormalForm
 from hptcanon.stab import (NoTGates, ParityClass, StabTriple, classify,
                            initial_stab, nonidentity_witness, stab_matrix,
                            stab_of_normal_form, step_block, verify_stabilizes)
@@ -114,50 +113,6 @@ def test_two_block_classes_with_leading_bare_t(table):
             assert cls != ParityClass.OTHER
             seen.add(cls)
     assert seen == {ParityClass.T3, ParityClass.T6}
-
-
-_LAW = {
-    # (group of current class) -> class after HT / PHT / T
-    frozenset({ParityClass.T1, ParityClass.T2}):
-        (ParityClass.T2, ParityClass.T1, ParityClass.T3),
-    frozenset({ParityClass.T4, ParityClass.T5}):
-        (ParityClass.T7, ParityClass.T8, ParityClass.T9),
-    frozenset({ParityClass.T7, ParityClass.T8}):
-        (ParityClass.T4, ParityClass.T5, ParityClass.T6),
-}
-
-
-def _law_for(cls):
-    for group, nxt in _LAW.items():
-        if cls in group:
-            return nxt
-    return None
-
-
-def test_random_chains_stabilize_and_obey_transition_laws(table):
-    rng = random.Random(67)
-    for _ in range(500):
-        k = rng.randrange(2, 13)
-        blocks = [rng.choice((Block.HT, Block.PHT)) for _ in range(k)]
-        cliff = rng.randrange(table.order)
-        nf = NormalForm(tuple(blocks), cliff)
-
-        st = initial_stab(cliff, table)
-        state = table.matrix(cliff).apply(ring.KET0)
-        assert verify_stabilizes(st, state)
-        prev_cls = classify(st)
-        for b in reversed(nf.blocks):
-            law = _law_for(prev_cls)
-            st = step_block(st, b)
-            state = table.block_matrices[b].apply(state)
-            assert verify_stabilizes(st, state)
-            cls = classify(st)
-            if law is not None:
-                assert cls == law[0 if b == Block.HT else 1]
-            prev_cls = cls
-        assert classify(st) != ParityClass.OTHER
-        assert nonidentity_witness(nf, table)
-        assert normal_form_matrix(nf, table) != ring.IDENTITY
 
 
 def test_stab_matrix_scaling_matches_level():
