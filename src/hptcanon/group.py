@@ -94,12 +94,12 @@ class GroupTable:
         return g
 
 
-def build_group(generators, limit=10000, t=ring.T):
+def build_group(generators, limit=10000):
     """Close `generators` (sequence of (single-letter name, matrix) pairs)
     under multiplication.
 
     Raises ClosureExceedsLimit if more than `limit` distinct elements
-    appear, so a typo'd generator set cannot loop forever.  `t` is the
+    appear, so a typo'd generator set cannot loop forever.  T is the
     non-Clifford gate used for the conjugation subgroup and cosets.
     """
     gens = [(name, mat) for name, mat in generators]
@@ -151,6 +151,7 @@ def build_group(generators, limit=10000, t=ring.T):
     # Unitary, so inverse = adjoint; a finite closure contains it.
     inv = [index[m.adjoint()] for m in elements]
 
+    t = ring.T
     t_adj = t.adjoint()
     ct_ids = frozenset(i for i, m in enumerate(elements)
                        if (t * m) * t_adj in index)
@@ -180,19 +181,18 @@ def build_group(generators, limit=10000, t=ring.T):
                       syndrome_ids, syndrome_labels, scalar_ids)
 
 
-def build_standard_table(limit=10000):
+def build_standard_table():
     """The 192-element group generated by H and P, with T-cosets."""
-    return build_group([("H", ring.H), ("P", ring.P)], limit=limit)
+    return build_group([("H", ring.H), ("P", ring.P)])
 
 
-def subgroup_ct(table, t=None):
-    """Recompute {g : t * g * t_adjoint stays in the group} from scratch.
+def subgroup_ct(table):
+    """Recompute {g : T * g * T_adjoint stays in the group} from scratch.
 
-    Same set as table.ct_ids when t is the table's own T; kept separate so
-    tests can cross-check the stored value against the definition.
+    Same set as table.ct_ids; kept separate so tests can cross-check the
+    stored value against the definition.
     """
-    if t is None:
-        t = table.t_mat
+    t = table.t_mat
     t_adj = t.adjoint()
     return frozenset(i for i, m in enumerate(table.elements)
                      if (t * m) * t_adj in table.index)

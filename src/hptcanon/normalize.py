@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import ring
 from .group import build_standard_table
-from .rules import build_rules
+from .rules import RuleTable, build_rules
 
 
 class Block(IntEnum):
@@ -47,13 +47,17 @@ def _default_rules():
 
 
 def _resolve_rules(caller, table, rules):
-    # The slow path of the (table, rules) preamble: callers skip this call
-    # when rules is given and table is rules.table.
+    # The slow path of the (table, rules) preamble: callers skip it when
+    # table is rules.table, and reach it on AttributeError for rules that
+    # have no .table.
     if rules is None:
         if table is None:
             return _default_rules()
         raise TypeError(f"{caller}() got a table but no 'rules' argument; "
                         "pass rules=build_rules(table) with it")
+    if not isinstance(rules, RuleTable):
+        raise TypeError(f"{caller}() argument 'rules' must be a RuleTable, "
+                        f"not {type(rules).__name__}")
     if table is None:
         return rules
     raise ValueError(f"{caller}() got a table that is not rules.table; "
@@ -87,22 +91,10 @@ def parse(text):
     return "".join(text.translate(_IGNORED).split())
 
 
-_H = 8
-_GENERIC = 9
-
-
-def _gate_steps():
-    # evaluate's step code per gate matrix: j for diag(1, omega**j), _H
-    # for H.  Any other matrix takes a generic product.
-    steps = {ring.H: _H}
-    w = ring.ONE
-    for j in range(8):
-        steps[ring.UMat2(ring.ONE, ring.ZERO, ring.ZERO, w)] = j
-        w = w * ring.OMEGA
-    return steps
-
-
-_STEPS = _gate_steps()
+# evaluate's step code per gate matrix; any other gate is a generic product.
+_H = 3
+_GENERIC = 0
+_STEPS = {ring.T: 1, ring.P: 2, ring.H: _H}
 
 
 def evaluate(circuit, gates=ring.GATES):
@@ -112,9 +104,9 @@ def evaluate(circuit, gates=ring.GATES):
     An independent word-level product (it never consults the group
     tables or the normalizer), run on the flat key of UMat2 held in 16
     local numerators plus the sqrt2 exponent k.  Gates are recognised by
-    their matrix: diag(1, omega**j) rotates the coefficients of column 1
-    j times by omega, H replaces the columns by their sum and difference
-    with k + 1, and any other gate is a generic flat product.
+    their matrix: T and P rotate the coefficients of column 1 by omega
+    and omega**2, H replaces the columns by their sum and difference with
+    k + 1, and any other gate is a generic flat product.
     """
     steps = {ch: _STEPS.get(m, _GENERIC) for ch, m in gates.items()}
     k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0
@@ -149,10 +141,6 @@ def evaluate(circuit, gates=ring.GATES):
         elif step == 2:
             # P: column 1 times omega**2 = i.
             a1, b1, c1, d1, a3, b3, c3, d3 = -c1, -d1, a1, b1, -c3, -d3, a3, b3
-        elif step < _H:
-            for _ in range(step):
-                a1, b1, c1, d1, a3, b3, c3, d3 = (
-                    -d1, a1, b1, c1, -d3, a3, b3, c3)
         else:
             (k, a0, b0, c0, d0, a1, b1, c1, d1,
              a2, b2, c2, d2, a3, b3, c3, d3) = ring._mat_mul(
@@ -202,7 +190,10 @@ def normalize(circuit, table=None, rules=None):
     the previous block X*T, merging T*T into P (pending becomes X*P*W1,
     one lookup in rules.merge).  Amortized O(1) table lookups per gate.
     """
-    if rules is None or table is not rules.table:
+    try:
+        if rules is None or table is not rules.table:
+            rules = _resolve_rules("normalize", table, rules)
+    except AttributeError:
         rules = _resolve_rules("normalize", table, rules)
     blocks, cliff = _fold(circuit, rules)
     return NormalForm(tuple(map(_BLOCKS.__getitem__, blocks)), cliff)
@@ -238,7 +229,10 @@ def normal_form_matrix(nf, table=None):
 def equivalent(c1, c2, table=None, rules=None):
     """Exact equality of the two circuits' matrices, decided structurally
     on normal forms."""
-    if rules is None or table is not rules.table:
+    try:
+        if rules is None or table is not rules.table:
+            rules = _resolve_rules("equivalent", table, rules)
+    except AttributeError:
         rules = _resolve_rules("equivalent", table, rules)
     return _fold(c1, rules) == _fold(c2, rules)
 
@@ -246,7 +240,10 @@ def equivalent(c1, c2, table=None, rules=None):
 def t_count(circuit, table=None, rules=None):
     """Minimal number of T gates over all circuits computing the same
     matrix; the block count of the normal form."""
-    if rules is None or table is not rules.table:
+    try:
+        if rules is None or table is not rules.table:
+            rules = _resolve_rules("t_count", table, rules)
+    except AttributeError:
         rules = _resolve_rules("t_count", table, rules)
     return len(_fold(circuit, rules)[0])
 
@@ -260,7 +257,10 @@ def invert(circuit, table=None, rules=None):
     T count is preserved.  A letter outside the basis passes through
     unchanged and normalize rejects it.
     """
-    if rules is None or table is not rules.table:
+    try:
+        if rules is None or table is not rules.table:
+            rules = _resolve_rules("invert", table, rules)
+    except AttributeError:
         rules = _resolve_rules("invert", table, rules)
     table = rules.table
     inv_words = {name: table.words[table.inv[gid]]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from . import ring
 from .group import CosetTag
 
 
@@ -93,23 +92,6 @@ def emit_rules(rules):
     return "\n".join(out) + "\n"
 
 
-def eval_word(table, word):
-    """Evaluate a word over the table's generators plus T, with I allowed
-    as an explicit identity letter."""
-    gates = {name: table.elements[gid]
-             for name, gid in table.gen_ids.items()}
-    gates["T"] = table.t_mat
-    m = ring.IDENTITY
-    for ch in word:
-        if ch == "I":
-            continue
-        try:
-            m = m * gates[ch]
-        except KeyError:
-            raise ValueError(f"unknown gate letter {ch!r} in {word!r}") from None
-    return m
-
-
 def parse_fixture(text):
     """Parse fixture text into (lhs, rhs) word pairs; '#' starts a comment."""
     rows = []
@@ -134,10 +116,17 @@ def check_fixture(rules, rows):
 
     Each row W0T = <S>T<W1> is checked at matrix level: both sides must
     evaluate to the same matrix, and the row's (S, W1) must agree with the
-    derived rule for W0 as matrices.  Returns a list of mismatch
-    descriptions; empty means the fixture passes.
+    derived rule for W0 as matrices.  Words are over the table's
+    generators plus T, with I allowed as an explicit identity letter.
+    Returns a list of mismatch descriptions; empty means the fixture
+    passes.
     """
+    # normalize imports this module, so evaluate is imported here.
+    from .normalize import evaluate
     table = rules.table
+    gates = {name: table.elements[gid]
+             for name, gid in table.gen_ids.items()}
+    gates["T"] = table.t_mat
     by_len = sorted(range(3), key=lambda s: -len(table.block_labels[s]))
     problems = []
     seen_w0 = set()
@@ -156,10 +145,9 @@ def check_fixture(rules, rows):
             continue
         w1_word = rhs[len(table.block_labels[slot]):]
         try:
-            lhs_mat = eval_word(table, lhs)
-            rhs_mat = eval_word(table, rhs)
-            w0_mat = eval_word(table, lhs[:-1])
-            w1_mat = eval_word(table, w1_word)
+            lhs_mat, rhs_mat, w0_mat, w1_mat = [
+                evaluate(word.replace("I", ""), gates)
+                for word in (lhs, rhs, lhs[:-1], w1_word)]
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue

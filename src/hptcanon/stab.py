@@ -57,26 +57,22 @@ _CLASS_BY_PARITY = {
     (1, 1, 1, 1, 0, 1): ParityClass.T9,
 }
 
-_AXES = (
-    ((1, 0, 0), ring.PAULI_X),
-    ((-1, 0, 0), -ring.PAULI_X),
-    ((0, 1, 0), ring.PAULI_Y),
-    ((0, -1, 0), -ring.PAULI_Y),
-    ((0, 0, 1), ring.PAULI_Z),
-    ((0, 0, -1), -ring.PAULI_Z),
-)
-
 
 def initial_stab(w0, table):
-    """Signed Pauli axis stabilizing f(W0)|0>: conjugate Z by f(W0) and
-    pattern-match.  Level starts at 0."""
+    """Signed Pauli axis stabilizing f(W0)|0>: read x, y, z off the key of
+    f(W0)*Z*f(W0)^dagger (e10 = x + i*y, e00 = z), then check them against
+    it.  Level starts at 0; an id outside 0..order-1 raises ValueError."""
+    if not 0 <= w0 < table.order:
+        raise ValueError(f"element id {w0!r} is not in this table "
+                         f"(order {table.order})")
     m = table.elements[w0]
     conj = (m * ring.PAULI_Z) * m.adjoint()
-    for (vx, vy, vz), pauli in _AXES:
-        if conj == pauli:
-            return StabTriple((vx, 0), (vy, 0), (vz, 0), 0)
-    raise NotSignedPauli(f"element {table.words[w0]!r} does not map Z to "
-                         "a signed Pauli")
+    key = conj.scaled_key()
+    st = StabTriple((key[9], 0), (key[11], 0), (key[1], 0), 0)
+    if stab_matrix(st) != conj:
+        raise NotSignedPauli(f"element {table.words[w0]!r} does not map Z "
+                             "to a signed Pauli")
+    return st
 
 
 # Plain ints: an enum class attribute costs a lookup on every block.
@@ -115,19 +111,16 @@ def stab_of_normal_form(nf, table):
     return st
 
 
-def _coeff(pair, level):
-    a, b = pair
-    # a + b*sqrt2 over sqrt2**level, with sqrt2 = omega - omega**3.
-    return ring.RingElem(a, b, 0, -b, level)
-
-
 def stab_matrix(st):
-    """M = x*X + y*Y + z*Z as an exact ring matrix."""
-    x = _coeff(st.x, st.level)
-    y = _coeff(st.y, st.level)
-    z = _coeff(st.z, st.level)
-    iy = ring.I_UNIT * y
-    return ring.UMat2(z, x - iy, x + iy, -z)
+    """M = x*X + y*Y + z*Z as an exact ring matrix.  A coefficient has
+    numerator (a, b, 0, -b) over sqrt2**level (sqrt2 = omega - omega**3)
+    and i*y has (0, yb, ya, yb), which gives the four entries."""
+    (xa, xb), (ya, yb), (za, zb), level = st
+    elem = ring.RingElem
+    return ring.UMat2(elem(za, zb, 0, -zb, level),
+                      elem(xa, xb - yb, -ya, -xb - yb, level),
+                      elem(xa, xb + yb, ya, -xb + yb, level),
+                      elem(-za, -zb, 0, zb, level))
 
 
 def verify_stabilizes(st, state):

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -63,10 +64,12 @@ def test_stab_trace(capsys):
     assert len(out.splitlines()) == 1  # no blocks, initial line only
 
     code, out, _ = run(capsys, "stab", "THTHTH")
-    lines = out.splitlines()
-    assert len(lines) == 4
-    assert lines[-1].endswith(f"class={lines[-1].split('=')[-1]}")
-    assert all(ln.startswith("ℓ=") for ln in lines)
+    assert (code, out.splitlines()) == (0, [
+        "ℓ=0 x=(1,0) y=(0,0) z=(0,0) class=OTHER",
+        "ℓ=1 x=(0,0) y=(-1,0) z=(1,0) class=OTHER",
+        "ℓ=2 x=(0,1) y=(1,0) z=(1,0) class=T4",
+        "ℓ=3 x=(-1,1) y=(1,1) z=(0,1) class=T9",
+    ])
 
 
 def test_count(capsys):
@@ -186,6 +189,27 @@ def test_repeated_runs_are_byte_identical(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# sha256 of the stdout of commands that print whole tables; any change to
+# these digests is a change to the CLI's output.
+_STDOUT_SHA256 = {
+    ("tables", "--emit-rules"):
+        "0e983c75b1ffcef55f2a9139325835f35abf198c0ffc7eab599a8ff1dd31ebc0",
+    ("tables", "--dump-group"):
+        "2728314762e1bb9e4c3be63cbe35bc8584ec55c6311ea5ff4cff6fede49d4a9a",
+    ("enumerate", "2"):
+        "2fd87744f35348d76d780f94692a0ada999f2c8191f42a7a7edc3d85a5ad7817",
+    ("count", "4", "--oracle"):
+        "6f2edf77123b410bcc2e570452d7e7d5a69e846ff39917930f28b1cc30eac2de",
+}
+
+
+def test_table_outputs_match_recorded_digests(capsys):
+    for argv, digest in _STDOUT_SHA256.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def _stub_run_all(monkeypatch, results):

@@ -170,6 +170,16 @@ def test_missing_rules_is_a_named_type_error(table, rules):
     ]:
         with pytest.raises(ValueError, match=rf"^{name}\(\).*rules\.table"):
             call()
+    # A leftover (table, rules) pair is not a RuleTable.
+    pair = (table, rules)
+    for name, call in [
+        ("normalize", lambda: normalize("HT", rules=pair)),
+        ("invert", lambda: invert("HT", table, pair)),
+        ("equivalent", lambda: equivalent("HT", "TH", rules=pair)),
+        ("t_count", lambda: t_count("HT", table, pair)),
+    ]:
+        with pytest.raises(TypeError, match=rf"^{name}\(\).*'rules'"):
+            call()
     # Rules alone carry their table: every entry point reads the words in
     # the <R,P> basis, never in the default tables.
     gates = {"R": ring.R, "P": ring.P, "T": ring.T}

@@ -4,9 +4,9 @@ import pytest
 
 from hptcanon import ring
 from hptcanon.group import CosetTag
+from hptcanon.normalize import evaluate
 from hptcanon.rules import (RuleDerivationFailure, build_rules, check_fixture,
-                            emit_rules, eval_word, load_bundled_fixture,
-                            parse_fixture)
+                            emit_rules, load_bundled_fixture, parse_fixture)
 
 
 def test_rule_count_and_sections(rules, table):
@@ -71,13 +71,7 @@ def test_emit_format(rules, table):
         if ln.startswith("#"):
             continue
         lhs, rhs = ln.split(" = ")
-        assert eval_word(table, lhs) == eval_word(table, rhs)
-
-
-def test_eval_word_handles_identity_and_t(table):
-    assert eval_word(table, "TI") == ring.T
-    assert eval_word(table, "IT") == ring.T
-    assert eval_word(table, "HPT") == (ring.H * ring.P) * ring.T
+        assert evaluate(lhs.replace("I", "")) == evaluate(rhs.replace("I", ""))
 
 
 def test_bundled_fixture_matches_generated_rules(rules):

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 
 from hptcanon import ring
+from hptcanon.group import build_group
 from hptcanon.normalize import Block, NormalForm
-from hptcanon.stab import (NoTGates, ParityClass, StabTriple, classify,
-                           initial_stab, nonidentity_witness, stab_matrix,
-                           stab_of_normal_form, step_block, verify_stabilizes)
+from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
+                           classify, initial_stab, nonidentity_witness,
+                           stab_matrix, stab_of_normal_form, step_block,
+                           verify_stabilizes)
 
 
 def test_initial_axes(table):
@@ -28,6 +30,17 @@ def test_initial_axis_is_signed_pauli_for_all_elements(table):
         assert len(nonzero) == 1 and nonzero[0] in ((1, 0), (-1, 0))
         axes.add((st.x, st.y, st.z))
     assert len(axes) == 6  # all six signed axes occur
+
+
+def test_initial_stab_refuses_ids_and_non_clifford_elements(table):
+    for bad in (500, 192, -1):
+        with pytest.raises(ValueError, match="not in this table"):
+            initial_stab(bad, table)
+    # <HTH> is cyclic of order 8, and HTH maps Z to (Z - Y)/sqrt2.
+    q_table = build_group([("Q", ring.H * ring.T * ring.H)])
+    assert q_table.order == 8
+    with pytest.raises(NotSignedPauli):
+        initial_stab(q_table.gen_ids["Q"], q_table)
 
 
 def test_step_t_on_z_axis():
