@@ -164,17 +164,39 @@ def _rotations(key):
     ]
 
 
+def _orbit_reps(keys, powers):
+    """One key per scalar orbit {omega**j * key : j in powers}, in the
+    order the keys come.  The orbits must tile the keys: every orbit lies
+    in them and no two overlap, or VerificationFailure is raised."""
+    left = set(keys)
+    reps = []
+    for key in keys:
+        if key in left:
+            reps.append(key)
+            rots = _rotations(key)
+            orbit = {rots[j] for j in powers}
+            if not orbit <= left:
+                raise VerificationFailure("scalar orbits do not tile the "
+                                          f"{len(left)} keys left")
+            left -= orbit
+    return reps
+
+
 def brute_force_mn(n, table, max_n=4):
     """Closure oracle for M_n on flat matrix keys; never consults the
-    normalizer.
+    normalizer, the rules or the ring products.
 
     Starts from all group elements and repeatedly adds c*T*m over all
     group elements c.  Products are only taken against the previous
     layer's new matrices: c*T*m for older m is in M_{k-1} by definition
-    and was produced at an earlier step.  The c loop is batched by
-    scalar orbit: c = omega**j * r, with r one representative per orbit
-    and j running over the powers of omega that are group elements.  Each
-    orbit costs one real multiplication r*(T*m); its other members are
+    and was produced at an earlier step.  Both loops are cut by scalar
+    orbits, the sets {omega**j * m} with j running over the powers of
+    omega that are group elements.  A group scalar is central, so
+    c*T*(omega**j * m) = (c * omega**j)*T*m, and c * omega**j runs over
+    the group as c does: every matrix of an orbit yields the same next
+    layer, and the frontier keeps one matrix per orbit.  The c loop takes
+    c = omega**j * r with r one representative per orbit; each r costs
+    one real multiplication r*(T*m), and its orbit's other members are
     read off the eight omega-rotations of that product.
 
     Returns (set of flat keys, per-layer new-matrix counts).
@@ -186,21 +208,10 @@ def brute_force_mn(n, table, max_n=4):
     t_key = table.t_mat.scaled_key()
 
     powers = [j for j in map(_omega_power, cliff_keys) if j is not None]
-    reps = []
-    assigned = set()
-    for key in cliff_keys:
-        if key in assigned:
-            continue
-        reps.append(key)
-        rots = _rotations(key)
-        assigned.update([rots[j] for j in powers])
-    if len(assigned) != len(cliff_keys) or \
-            len(reps) * len(powers) != len(cliff_keys):
-        raise VerificationFailure("scalar orbits do not tile the group")
-
+    reps = _orbit_reps(cliff_keys, powers)
     total = set(cliff_keys)
     layer_sizes = [len(total)]
-    frontier = cliff_keys
+    frontier = reps
     for _ in range(n):
         new = set()
         for m in frontier:
@@ -211,7 +222,7 @@ def brute_force_mn(n, table, max_n=4):
         new -= total
         total |= new
         layer_sizes.append(len(new))
-        frontier = list(new)
+        frontier = _orbit_reps(new, powers)
     return total, tuple(layer_sizes)
 
 

@@ -60,6 +60,9 @@ class GroupTable:
         # letter_step[name][i] is the id of matrix(i) * generator `name`.
         self.letter_step = dict(zip(gen_names, gen_step))
         self.gen_ids = {name: row[0] for name, row in self.letter_step.items()}
+        # Gate letter -> matrix for evaluate: the generators, then T.
+        self.gates = {name: elements[gid] for name, gid in self.gen_ids.items()}
+        self.gates["T"] = t_mat
         self.block_labels = tuple(
             ("" if lbl == "I" else lbl) + "T" for lbl in syndrome_labels)
         self.block_matrices = tuple(

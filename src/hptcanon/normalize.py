@@ -47,9 +47,10 @@ def _default_rules():
 
 
 def _resolve_rules(caller, table, rules):
-    # The slow path of the (table, rules) preamble: callers skip it when
-    # table is rules.table, and reach it on AttributeError for rules that
-    # have no .table.
+    # The slow path of the (table, rules) preamble: callers skip it for
+    # no arguments, for a RuleTable alone and for a table that is
+    # rules.table, and reach it for anything else (on AttributeError for
+    # rules that have no .table).
     if rules is None:
         if table is None:
             return _default_rules()
@@ -190,10 +191,15 @@ def normalize(circuit, table=None, rules=None):
     the previous block X*T, merging T*T into P (pending becomes X*P*W1,
     one lookup in rules.merge).  Amortized O(1) table lookups per gate.
     """
-    try:
-        if rules is None or table is not rules.table:
+    if table is not None:
+        try:
+            if table is not rules.table:
+                rules = _resolve_rules("normalize", table, rules)
+        except AttributeError:
             rules = _resolve_rules("normalize", table, rules)
-    except AttributeError:
+    elif rules is None:
+        rules = _default_rules()
+    elif rules.__class__ is not RuleTable:
         rules = _resolve_rules("normalize", table, rules)
     blocks, cliff = _fold(circuit, rules)
     return NormalForm(tuple(map(_BLOCKS.__getitem__, blocks)), cliff)
@@ -216,23 +222,28 @@ def render(nf, table=None):
 
 
 def normal_form_matrix(nf, table=None):
-    """Exact matrix of a normal form, without re-parsing its rendering."""
+    """Exact matrix of a normal form: evaluate on the blocks' word (their
+    labels joined, so each block runs through evaluate's gate steps),
+    times the Clifford tail's element matrix."""
     if table is None:
         table = _default_rules().table
     _check_form(nf, table)
-    m = ring.IDENTITY
-    for b in nf.blocks:
-        m = m * table.block_matrices[b]
-    return m * table.elements[nf.cliff]
+    word = "".join(map(table.block_labels.__getitem__, nf.blocks))
+    return evaluate(word, table.gates) * table.elements[nf.cliff]
 
 
 def equivalent(c1, c2, table=None, rules=None):
     """Exact equality of the two circuits' matrices, decided structurally
     on normal forms."""
-    try:
-        if rules is None or table is not rules.table:
+    if table is not None:
+        try:
+            if table is not rules.table:
+                rules = _resolve_rules("equivalent", table, rules)
+        except AttributeError:
             rules = _resolve_rules("equivalent", table, rules)
-    except AttributeError:
+    elif rules is None:
+        rules = _default_rules()
+    elif rules.__class__ is not RuleTable:
         rules = _resolve_rules("equivalent", table, rules)
     return _fold(c1, rules) == _fold(c2, rules)
 
@@ -240,10 +251,15 @@ def equivalent(c1, c2, table=None, rules=None):
 def t_count(circuit, table=None, rules=None):
     """Minimal number of T gates over all circuits computing the same
     matrix; the block count of the normal form."""
-    try:
-        if rules is None or table is not rules.table:
+    if table is not None:
+        try:
+            if table is not rules.table:
+                rules = _resolve_rules("t_count", table, rules)
+        except AttributeError:
             rules = _resolve_rules("t_count", table, rules)
-    except AttributeError:
+    elif rules is None:
+        rules = _default_rules()
+    elif rules.__class__ is not RuleTable:
         rules = _resolve_rules("t_count", table, rules)
     return len(_fold(circuit, rules)[0])
 
@@ -257,10 +273,15 @@ def invert(circuit, table=None, rules=None):
     T count is preserved.  A letter outside the basis passes through
     unchanged and normalize rejects it.
     """
-    try:
-        if rules is None or table is not rules.table:
+    if table is not None:
+        try:
+            if table is not rules.table:
+                rules = _resolve_rules("invert", table, rules)
+        except AttributeError:
             rules = _resolve_rules("invert", table, rules)
-    except AttributeError:
+    elif rules is None:
+        rules = _default_rules()
+    elif rules.__class__ is not RuleTable:
         rules = _resolve_rules("invert", table, rules)
     table = rules.table
     inv_words = {name: table.words[table.inv[gid]]

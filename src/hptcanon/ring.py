@@ -10,7 +10,8 @@ A UMat2 is kept flat, as the tuple (k, 16 integers) of its four entries'
 numerators over one common sqrt2**k with k as small as possible
 (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236).  A product is then
 eight numerator convolutions and one joint reduction, with no
-per-entry objects.
+per-entry objects.  A StateVec is kept the same way, as (k, 8 integers),
+so applying a matrix to a state builds no per-entry objects either.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ def _scaled(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int, int, int]
         a, b, c, d = b - d, a + c, b + d, c - a
     f = 1 << (m >> 1)
     return a * f, b * f, c * f, d * f
+
+
+def _common_key(*entries: RingElem) -> tuple[int, ...]:
+    # Flat key of canonical entries: the largest entry exponent, then each
+    # numerator scaled up to it.  Per-entry canonical form makes that
+    # exponent the least common one, so the key needs no reduction.
+    k = max(e._k for e in entries)
+    key = [k]
+    for e in entries:
+        key += _scaled(e._a, e._b, e._c, e._d, k - e._k)
+    return tuple(key)
+
+
+def _not_ring_elems(owner: str, entries: tuple) -> TypeError:
+    # The error for a constructor given something other than RingElems.
+    bad = next(e for e in entries if not isinstance(e, RingElem))
+    return TypeError(f"{owner}() entries must be RingElem, "
+                     f"not {type(bad).__name__}")
 
 
 class RingElem:
@@ -209,13 +228,10 @@ class UMat2:
 
     def __init__(self, e00: RingElem, e01: RingElem, e10: RingElem,
                  e11: RingElem) -> None:
-        # Per-entry canonical form makes the largest entry exponent the
-        # least common one, so the key needs no further reduction.
-        k = max(e00._k, e01._k, e10._k, e11._k)
-        key = [k]
-        for e in (e00, e01, e10, e11):
-            key += _scaled(e._a, e._b, e._c, e._d, k - e._k)
-        self._key = tuple(key)
+        try:
+            self._key = _common_key(e00, e01, e10, e11)
+        except AttributeError:
+            raise _not_ring_elems("UMat2", (e00, e01, e10, e11)) from None
 
     @classmethod
     def _raw(cls, key: tuple[int, ...]) -> UMat2:
@@ -261,29 +277,30 @@ class UMat2:
                            a1, -d1, -c1, -b1, a3, -d3, -c3, -b3))
 
     def apply(self, state: StateVec) -> StateVec:
-        x, y = state._c0, state._c1
-        kx, ky = x._k, y._k
-        xa, xb, xc, xd = x._a, x._b, x._c, x._d
-        ya, yb, yc, yd = y._a, y._b, y._c, y._d
-        if kx < ky:
-            xa, xb, xc, xd = _scaled(xa, xb, xc, xd, ky - kx)
-            kx = ky
-        elif ky < kx:
-            ya, yb, yc, yd = _scaled(ya, yb, yc, yd, kx - ky)
+        """self * state on the flat keys: the exponents add, each output
+        amplitude is a sum of two numerator products, and one joint sqrt2
+        reduction over both amplitudes follows (as in _mat_mul)."""
+        try:
+            kx, xa, xb, xc, xd, ya, yb, yc, yd = state._key
+        except (AttributeError, ValueError):
+            raise TypeError("apply() argument must be a StateVec, "
+                            f"not {type(state).__name__}") from None
         (k, p0, q0, r0, s0, p1, q1, r1, s1,
          p2, q2, r2, s2, p3, q3, r3, s3) = self._key
         k += kx
-        return StateVec(
-            RingElem(p0*xa - q0*xd - r0*xc - s0*xb + p1*ya - q1*yd - r1*yc - s1*yb,
-                     p0*xb + q0*xa - r0*xd - s0*xc + p1*yb + q1*ya - r1*yd - s1*yc,
-                     p0*xc + q0*xb + r0*xa - s0*xd + p1*yc + q1*yb + r1*ya - s1*yd,
-                     p0*xd + q0*xc + r0*xb + s0*xa + p1*yd + q1*yc + r1*yb + s1*ya,
-                     k),
-            RingElem(p2*xa - q2*xd - r2*xc - s2*xb + p3*ya - q3*yd - r3*yc - s3*yb,
-                     p2*xb + q2*xa - r2*xd - s2*xc + p3*yb + q3*ya - r3*yd - s3*yc,
-                     p2*xc + q2*xb + r2*xa - s2*xd + p3*yc + q3*yb + r3*ya - s3*yd,
-                     p2*xd + q2*xc + r2*xb + s2*xa + p3*yd + q3*yc + r3*yb + s3*ya,
-                     k))
+        e0 = p0*xa - q0*xd - r0*xc - s0*xb + p1*ya - q1*yd - r1*yc - s1*yb
+        f0 = p0*xb + q0*xa - r0*xd - s0*xc + p1*yb + q1*ya - r1*yd - s1*yc
+        g0 = p0*xc + q0*xb + r0*xa - s0*xd + p1*yc + q1*yb + r1*ya - s1*yd
+        h0 = p0*xd + q0*xc + r0*xb + s0*xa + p1*yd + q1*yc + r1*yb + s1*ya
+        e1 = p2*xa - q2*xd - r2*xc - s2*xb + p3*ya - q3*yd - r3*yc - s3*yb
+        f1 = p2*xb + q2*xa - r2*xd - s2*xc + p3*yb + q3*ya - r3*yd - s3*yc
+        g1 = p2*xc + q2*xb + r2*xa - s2*xd + p3*yc + q3*yb + r3*ya - s3*yd
+        h1 = p2*xd + q2*xc + r2*xb + s2*xa + p3*yd + q3*yc + r3*yb + s3*ya
+        while k and not ((e0 ^ g0) | (f0 ^ h0) | (e1 ^ g1) | (f1 ^ h1)) & 1:
+            e0, f0, g0, h0 = (f0 - h0) >> 1, (e0 + g0) >> 1, (f0 + h0) >> 1, (g0 - e0) >> 1
+            e1, f1, g1, h1 = (f1 - h1) >> 1, (e1 + g1) >> 1, (f1 + h1) >> 1, (g1 - e1) >> 1
+            k -= 1
+        return StateVec._raw((k, e0, f0, g0, h0, e1, f1, g1, h1))
 
     def scaled_key(self) -> tuple[int, ...]:
         """Flat integer key: common denominator exponent, then the 16
@@ -309,31 +326,48 @@ class UMat2:
 
 
 class StateVec:
-    """Single-qubit state with exact ring amplitudes c0, c1."""
+    """Single-qubit state, stored flat as its canonical key.
 
-    __slots__ = ("_c0", "_c1")
+    The key is (k, 8 integers): the amplitudes c0 and c1, each as its four
+    numerator coefficients over the common denominator sqrt2**k, with k
+    the least such exponent, as in UMat2.  Equal states have equal keys.
+    The constructor takes two RingElem amplitudes; c0 and c1 rebuild
+    RingElem views on demand.
+    """
+
+    __slots__ = ("_key",)
 
     def __init__(self, c0: RingElem, c1: RingElem) -> None:
-        self._c0, self._c1 = c0, c1
+        try:
+            self._key = _common_key(c0, c1)
+        except AttributeError:
+            raise _not_ring_elems("StateVec", (c0, c1)) from None
+
+    @classmethod
+    def _raw(cls, key: tuple[int, ...]) -> StateVec:
+        # Internal: wrap a key already known to be canonical.
+        self = object.__new__(cls)
+        self._key = key
+        return self
 
     @property
     def c0(self) -> RingElem:
-        return self._c0
+        return RingElem(*self._key[1:5], self._key[0])
 
     @property
     def c1(self) -> RingElem:
-        return self._c1
+        return RingElem(*self._key[5:9], self._key[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVec):
             return NotImplemented
-        return self._c0 == other._c0 and self._c1 == other._c1
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self._c0, self._c1))
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        return f"StateVec({self._c0!r}, {self._c1!r})"
+        return f"StateVec({self.c0!r}, {self.c1!r})"
 
 
 _ZERO = RingElem._raw(0, 0, 0, 0, 0)

@@ -124,9 +124,7 @@ def check_fixture(rules, rows):
     # normalize imports this module, so evaluate is imported here.
     from .normalize import evaluate
     table = rules.table
-    gates = {name: table.elements[gid]
-             for name, gid in table.gen_ids.items()}
-    gates["T"] = table.t_mat
+    gates = table.gates
     by_len = sorted(range(3), key=lambda s: -len(table.block_labels[s]))
     problems = []
     seen_w0 = set()

@@ -60,19 +60,19 @@ _CLASS_BY_PARITY = {
 
 def initial_stab(w0, table):
     """Signed Pauli axis stabilizing f(W0)|0>: read x, y, z off the key of
-    f(W0)*Z*f(W0)^dagger (e10 = x + i*y, e00 = z), then check them against
-    it.  Level starts at 0; an id outside 0..order-1 raises ValueError."""
+    f(W0)*Z*f(W0)^dagger (e10 = x + i*y, e00 = z), then check that the key
+    is exactly the level-0 key of x*X + y*Y + z*Z.  Level starts at 0; an
+    id outside 0..order-1 raises ValueError."""
     if not 0 <= w0 < table.order:
         raise ValueError(f"element id {w0!r} is not in this table "
                          f"(order {table.order})")
     m = table.elements[w0]
-    conj = (m * ring.PAULI_Z) * m.adjoint()
-    key = conj.scaled_key()
-    st = StabTriple((key[9], 0), (key[11], 0), (key[1], 0), 0)
-    if stab_matrix(st) != conj:
+    key = ((m * ring.PAULI_Z) * m.adjoint()).scaled_key()
+    x, y, z = key[9], key[11], key[1]
+    if key != (0, z, 0, 0, 0, x, 0, -y, 0, x, 0, y, 0, -z, 0, 0, 0):
         raise NotSignedPauli(f"element {table.words[w0]!r} does not map Z "
                              "to a signed Pauli")
-    return st
+    return StabTriple((x, 0), (y, 0), (z, 0), 0)
 
 
 # Plain ints: an enum class attribute costs a lookup on every block.
@@ -124,8 +124,42 @@ def stab_matrix(st):
 
 
 def verify_stabilizes(st, state):
-    """Exact check that (x, y, z) stabilizes the state: M s = s."""
-    return stab_matrix(st).apply(state) == state
+    """Exact check that (x, y, z) stabilizes the state: M s = s.
+
+    Runs on the flat numerators, with no matrix or RingElem built.  With
+    M = N / sqrt2**level (stab_matrix) and s = (u, v) / sqrt2**k, the
+    check is N (u, v) = sqrt2**level (u, v), where the rows of N (u, v)
+    are z*u + x*v - i*y*v and x*u + i*y*u - z*v.  A coefficient (a, b)
+    acts on a numerator w as a*w + b*sqrt2*w.
+    """
+    (xa, xb), (ya, yb), (za, zb), level = st
+    try:
+        _, u0, u1, u2, u3, v0, v1, v2, v3 = state._key
+    except (AttributeError, ValueError):
+        raise TypeError("verify_stabilizes() state must be a StateVec, "
+                        f"not {type(state).__name__}") from None
+    # sqrt2*w maps (a, b, c, d) to (b - d, a + c, b + d, c - a), and i*w
+    # maps it to (-c, -d, a, b).
+    r0, r1, r2, r3 = u1 - u3, u0 + u2, u1 + u3, u2 - u0
+    t0, t1, t2, t3 = v1 - v3, v0 + v2, v1 + v3, v2 - v0
+    yu0, yu1, yu2, yu3 = (ya*u0 + yb*r0, ya*u1 + yb*r1,
+                          ya*u2 + yb*r2, ya*u3 + yb*r3)
+    yv0, yv1, yv2, yv3 = (ya*v0 + yb*t0, ya*v1 + yb*t1,
+                          ya*v2 + yb*t2, ya*v3 + yb*t3)
+    # sqrt2**level * w is 2**(level // 2) times w or sqrt2*w.
+    f = 1 << (level >> 1)
+    su, sv = ((r0, r1, r2, r3), (t0, t1, t2, t3)) if level & 1 else \
+        ((u0, u1, u2, u3), (v0, v1, v2, v3))
+    return ((za*u0 + zb*r0 + xa*v0 + xb*t0 + yv2,
+             za*u1 + zb*r1 + xa*v1 + xb*t1 + yv3,
+             za*u2 + zb*r2 + xa*v2 + xb*t2 - yv0,
+             za*u3 + zb*r3 + xa*v3 + xb*t3 - yv1)
+            == (f * su[0], f * su[1], f * su[2], f * su[3])
+            and (xa*u0 + xb*r0 - yu2 - za*v0 - zb*t0,
+                 xa*u1 + xb*r1 - yu3 - za*v1 - zb*t1,
+                 xa*u2 + xb*r2 + yu0 - za*v2 - zb*t2,
+                 xa*u3 + xb*r3 + yu1 - za*v3 - zb*t3)
+            == (f * sv[0], f * sv[1], f * sv[2], f * sv[3]))
 
 
 def nonidentity_witness(nf, table):

@@ -78,9 +78,11 @@ def _naive_closure(n, table):
 
 
 def test_oracle_matches_naive_closure_small(table):
-    for n in range(0, 3):
-        fast, _ = brute_force_mn(n, table)
-        assert fast == _naive_closure(n, table)
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    for tab in (table, r_table):
+        for n in range(0, 3):
+            fast, _ = brute_force_mn(n, tab)
+            assert fast == _naive_closure(n, tab)
 
 
 def test_oracle_partial_scalar_orbits():

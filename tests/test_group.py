@@ -180,3 +180,9 @@ def test_word_id_walks_products(table):
 def test_word_id_rejects_unknown_letter(table):
     with pytest.raises(ValueError, match="gate 'X' not in this basis"):
         table.word_id("HX")
+
+
+def test_gates_map_generator_names_and_t_to_matrices(table):
+    assert table.gates == {"H": ring.H, "P": ring.P, "T": ring.T}
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    assert r_table.gates == {"R": ring.R, "P": ring.P, "T": ring.T}

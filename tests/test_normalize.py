@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from hptcanon import census, ring
+from hptcanon import normalize as normalize_mod
 from hptcanon.group import build_group
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
@@ -202,6 +203,23 @@ def test_missing_rules_error_names_the_function(table):
         equivalent("HT", "TH", table)
 
 
+def test_rules_alone_and_no_arguments_skip_the_resolver(monkeypatch,
+                                                       table, rules):
+    want = [normalize("HTPHT", table, rules), t_count("HTPHT", table, rules),
+            equivalent("HTT", "HP", table, rules),
+            invert("HTPHT", table, rules)]
+
+    def resolver_called(*args):
+        raise AssertionError(f"_resolve_rules{args[:1]} was called")
+
+    monkeypatch.setattr(normalize_mod, "_resolve_rules", resolver_called)
+    assert [normalize("HTPHT", rules=rules), t_count("HTPHT", rules=rules),
+            equivalent("HTT", "HP", rules=rules),
+            invert("HTPHT", rules=rules)] == want
+    assert [normalize("HTPHT"), t_count("HTPHT"), equivalent("HTT", "HP"),
+            invert("HTPHT")] == want
+
+
 def test_normalize_examples(table, rules):
     nf = normalize("HPPHT", table, rules)
     assert nf.blocks == (Block.T,)
@@ -294,6 +312,28 @@ def test_normal_form_matrix_agrees_with_render(table, rules):
         nf = normalize(w, table, rules)
         assert normal_form_matrix(nf, table) == evaluate(parse(render(nf,
                                                                       table)))
+
+
+def _block_product_fold(nf, table):
+    # Generic reference: one ring product per block matrix S*T, with S the
+    # block's syndrome element, then the Clifford tail.
+    m = ring.IDENTITY
+    for b in nf.blocks:
+        m = m * (table.elements[table.syndrome_ids[b]] * table.t_mat)
+    return m * table.elements[nf.cliff]
+
+
+def test_normal_form_matrix_matches_block_product_fold(table):
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    rng = random.Random(53)
+    for tab in (table, r_table):
+        for n in range(31):
+            for _ in range(4):
+                blocks = tuple(rng.choice((Block.T, Block.HT, Block.PHT))
+                               for _ in range(n))
+                nf = NormalForm(blocks, rng.randrange(tab.order))
+                assert normal_form_matrix(nf, tab) == \
+                    _block_product_fold(nf, tab), nf
 
 
 def test_equivalent(table, rules):

@@ -5,6 +5,8 @@ import math
 import random
 from itertools import product
 
+import pytest
+
 from hptcanon import ring
 from hptcanon.ring import RingElem, StateVec, UMat2
 
@@ -136,6 +138,55 @@ def test_apply():
     assert ring.IDENTITY.apply(ring.KET0) == ring.KET0
     assert ring.H.apply(ring.KET0) == StateVec(ring.SQRT2_INV, ring.SQRT2_INV)
     assert ring.PAULI_X.apply(ring.KET0) == StateVec(ring.ZERO, ring.ONE)
+
+
+def _apply_by_entries(m, state):
+    # Per-entry reference: each amplitude is a sum of two RingElem products.
+    return StateVec(m.e00 * state.c0 + m.e01 * state.c1,
+                    m.e10 * state.c0 + m.e11 * state.c1)
+
+
+def test_apply_matches_per_entry_formula(table):
+    rng = random.Random(37)
+    states = [ring.KET0] + [StateVec(rand_elem(rng, 4), rand_elem(rng, 4))
+                            for _ in range(20)]
+    assert len({s.c0.k - s.c1.k for s in states}) > 3
+    for m in table.elements:
+        for s in states:
+            got = m.apply(s)
+            want = _apply_by_entries(m, s)
+            assert got == want and hash(got) == hash(want)
+            assert (got.c0, got.c1) == (want.c0, want.c1)
+
+
+def test_state_equality_across_mixed_exponents():
+    one_at_3 = RingElem(0, 2, 0, -2, 3)           # 2*sqrt2/(2*sqrt2)
+    a = StateVec(ring.SQRT2_INV, ring.ONE)
+    b = StateVec(RingElem(1, 0, 0, 0, 1), one_at_3)
+    c = StateVec(RingElem(2, 0, 0, 0, 3), RingElem(2, 0, 0, 0, 2))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert (c.c0, c.c1) == (ring.SQRT2_INV, ring.ONE)
+    assert a != StateVec(ring.ONE, ring.SQRT2_INV)
+    assert a != StateVec(ring.SQRT2_INV, -ring.ONE)
+    rng = random.Random(41)
+    for _ in range(300):
+        x, y = rand_elem(rng, 4), rand_elem(rng, 4)
+        s = StateVec(x, y)
+        assert (s.c0, s.c1) == (x, y)
+        up = StateVec(x * ring.SQRT2 * ring.SQRT2_INV,
+                      y * ring.SQRT2_INV * ring.SQRT2)
+        assert up == s and hash(up) == hash(s)
+
+
+def test_ring_types_refuse_other_arguments():
+    with pytest.raises(TypeError, match="UMat2.*RingElem, not int"):
+        UMat2(1, 2, 3, 4)
+    with pytest.raises(TypeError, match="StateVec.*RingElem, not int"):
+        ring.H.apply(StateVec(1, 0))
+    with pytest.raises(TypeError, match="must be a StateVec, not tuple"):
+        ring.H.apply((1, 0))
+    with pytest.raises(TypeError, match="must be a StateVec, not UMat2"):
+        ring.H.apply(ring.H)
 
 
 def test_words_up_to_seven_are_unitary_and_normalized():

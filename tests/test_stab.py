@@ -1,5 +1,6 @@
 """Stabilizer triples, block transitions, parity classes, witnesses."""
 
+import random
 from itertools import product
 
 import pytest
@@ -85,6 +86,32 @@ def test_verify_stabilizes():
     assert verify_stabilizes(z_axis, ring.KET0)
     assert verify_stabilizes(x_axis, plus)
     assert not verify_stabilizes(z_axis, ring.StateVec(ring.ZERO, ring.ONE))
+    for bad in ((1, 0), ring.H, None):
+        with pytest.raises(TypeError, match="must be a StateVec"):
+            verify_stabilizes(z_axis, bad)
+
+
+def test_flat_check_matches_stab_matrix_on_chains(table):
+    # The flat check against its specification, M s = s with M built by
+    # stab_matrix, on the true triple and on two mutations of it.
+    rng = random.Random(59)
+    for _ in range(200):
+        cliff = rng.randrange(table.order)
+        st = initial_stab(cliff, table)
+        state = table.elements[cliff].apply(ring.KET0)
+        for _ in range(rng.randint(0, 30)):
+            b = rng.choice((Block.T, Block.HT, Block.PHT))
+            st = step_block(st, b)
+            state = table.block_matrices[b].apply(state)
+            axis = rng.randrange(3)
+            pair = list(st[axis])
+            pair[rng.randrange(2)] += 2
+            off_by_two = st._replace(**{"xyz"[axis]: tuple(pair)})
+            wrong_level = st._replace(level=st.level + rng.choice((-1, 1)))
+            for cand, want in ((st, True), (off_by_two, False),
+                               (wrong_level, False)):
+                assert verify_stabilizes(cand, state) is want, cand
+                assert (stab_matrix(cand).apply(state) == state) is want
 
 
 def test_stab_matrix_is_hermitian_combination():
