@@ -10,7 +10,8 @@ y-rotation) in place of H.
 """
 
 import random
-from itertools import groupby, product
+from functools import partial
+from itertools import chain, groupby, product
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -63,20 +64,33 @@ def enumerate_normal_forms(n, table=None):
     """All normal forms with at most n blocks, deterministically:
     T-count ascending, then block tuples in product order, then the
     Clifford tail by element id.  A negative n raises ValueError here,
-    not at the first item."""
+    not at the first item.
+
+    The result is a lazy iterator; see _normal_forms for how the forms
+    are built."""
     _check_n(n)
     return _normal_forms(n, table.order if table is not None else 192)
 
 
 def _normal_forms(n, order):
-    for cliff in range(order):
-        yield NormalForm((), cliff)
+    """The forms of enumerate_normal_forms, built by C iterators.
+
+    Block tuples come one at a time from a chain of per-layer products
+    (the empty tuple, then every length 1..n).  Each tuple is paired
+    with every tail by product((blocks,), tails), and each pair becomes
+    a NormalForm through tuple.__new__, which is what NormalForm._make
+    does without a Python frame per form.  product copies its inputs
+    into tuples, so the block tuples are never one of its inputs: a
+    layer is never materialised and the first form comes at once for
+    any n.
+    """
     first = (Block.T, Block.HT, Block.PHT)
     rest = (Block.HT, Block.PHT)
-    for k in range(1, n + 1):
-        for blocks in product(first, *((rest,) * (k - 1))):
-            for cliff in range(order):
-                yield NormalForm(blocks, cliff)
+    tails = range(order)
+    block_tuples = chain(((),), chain.from_iterable(
+        product(first, *((rest,) * (k - 1))) for k in range(1, n + 1)))
+    return map(partial(tuple.__new__, NormalForm), chain.from_iterable(
+        product((blocks,), tails) for blocks in block_tuples))
 
 
 def _flat_mul(x, y):

@@ -11,7 +11,9 @@ import json
 import os
 import sys
 
-from . import census, rules as rules_mod, stab, verify
+# census, stab and verify are imported inside the subcommands that use
+# them, so that the other subcommands do not pay for their import.
+from . import rules as rules_mod
 from .group import coset_of
 from .normalize import (ParseError, _default_rules, equivalent, evaluate,
                         normal_form_matrix, normalize, parse, render, t_count)
@@ -121,26 +123,32 @@ def _cmd_matrix(args):
     return 0
 
 
-def _stab_line(st):
-    cls = stab.classify(st)
+def _stab_line(st, cls):
     return (f"ℓ={st.level} x=({st.x[0]},{st.x[1]}) "
             f"y=({st.y[0]},{st.y[1]}) z=({st.z[0]},{st.z[1]}) "
             f"class={cls.name}")
 
 
 def _cmd_stab(args):
+    from . import stab
     nf = normalize(parse(args.circuit))
     st = stab.initial_stab(nf.cliff, _default_rules().table)
-    print(_stab_line(st))
+    print(_stab_line(st, stab.classify(st)))
     for block in reversed(nf.blocks):
         st = stab.step_block(st, block)
-        print(_stab_line(st))
+        print(_stab_line(st, stab.classify(st)))
     return 0
 
 
 def _cmd_count(args):
+    from . import census
     if args.oracle:
-        matrices, _ = census.brute_force_mn(args.n, _default_rules().table)
+        try:
+            matrices, _ = census.brute_force_mn(args.n,
+                                                _default_rules().table)
+        except census.LimitExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(len(matrices))
     else:
         print(census.count_closed_form(args.n, exact=args.exact))
@@ -148,6 +156,7 @@ def _cmd_count(args):
 
 
 def _cmd_enumerate(args):
+    from . import census
     table = _default_rules().table
     write = sys.stdout.write
     for nf in census.enumerate_normal_forms(args.n, table):
@@ -191,6 +200,7 @@ def _cmd_tables(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     results = verify.run_all(tmax=args.tmax, oracle_max=args.oracle_max)
     for res in results:
         print(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
@@ -218,9 +228,6 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error at position {exc.position}: "
               f"unexpected character {exc.character!r}", file=sys.stderr)
-        return 1
-    except census.LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Downstream closed early (e.g. `enumerate 12 | head`); silence the

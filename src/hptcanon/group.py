@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from types import MappingProxyType
 
 from . import ring
 from .ring import UMat2
@@ -40,9 +41,10 @@ class GroupTable:
     matrix(i) * matrix(j), matching left-to-right circuit composition.
     """
 
-    def __init__(self, gen_names, elements, words, index, gen_step, mul,
+    def __init__(self, gens, elements, words, index, gen_step, mul,
                  inv, t_mat, ct_ids, coset_slots, syndrome_ids,
                  syndrome_labels, scalar_ids):
+        gen_names = tuple(name for name, _ in gens)
         self.gen_names = gen_names
         self.elements = elements
         self.words = words
@@ -60,9 +62,9 @@ class GroupTable:
         # letter_step[name][i] is the id of matrix(i) * generator `name`.
         self.letter_step = dict(zip(gen_names, gen_step))
         self.gen_ids = {name: row[0] for name, row in self.letter_step.items()}
-        # Gate letter -> matrix for evaluate: the generators, then T.
-        self.gates = {name: elements[gid] for name, gid in self.gen_ids.items()}
-        self.gates["T"] = t_mat
+        # Gate letter -> matrix for evaluate: the generator matrices as
+        # given, then T; read-only like the rest of the table.
+        self.gates = MappingProxyType({**dict(gens), "T": t_mat})
         self.block_labels = tuple(
             ("" if lbl == "I" else lbl) + "T" for lbl in syndrome_labels)
         self.block_matrices = tuple(
@@ -179,9 +181,9 @@ def build_group(generators, limit=10000):
                        in enumerate(m.entries for m in elements)
                        if not e01 and not e10 and e00 == e11)
 
-    return GroupTable(tuple(name for name, _ in gens), elements, words,
-                      index, gen_step, mul, inv, t, ct_ids, coset_slots,
-                      syndrome_ids, syndrome_labels, scalar_ids)
+    return GroupTable(gens, elements, words, index, gen_step, mul, inv, t,
+                      ct_ids, coset_slots, syndrome_ids, syndrome_labels,
+                      scalar_ids)
 
 
 def build_standard_table():

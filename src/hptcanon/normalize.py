@@ -98,6 +98,23 @@ _GENERIC = 0
 _STEPS = {ring.T: 1, ring.P: 2, ring.H: _H}
 
 
+def _gate_steps(gates):
+    # Read afresh on every call, so a caller's later change to its gates
+    # mapping is always seen.  The ring's own T, P and H objects (which
+    # ring.GATES holds, and GroupTable.gates of tables built from them)
+    # are told apart by identity; only another matrix object is hashed.
+    T, P, H = ring.T, ring.P, ring.H
+    steps = {}
+    for ch, m in gates.items():
+        steps[ch] = (1 if m is T else 2 if m is P else _H if m is H
+                     else _STEPS.get(m, _GENERIC))
+    return steps
+
+
+# ring.GATES is read-only, so evaluate's default steps are found once.
+_DEFAULT_STEPS = _gate_steps(ring.GATES)
+
+
 def evaluate(circuit, gates=ring.GATES):
     """Exact matrix of a circuit: gate matrices multiplied in string
     order, leftmost gate leftmost factor.  Empty circuit is the identity.
@@ -109,7 +126,7 @@ def evaluate(circuit, gates=ring.GATES):
     and omega**2, H replaces the columns by their sum and difference with
     k + 1, and any other gate is a generic flat product.
     """
-    steps = {ch: _STEPS.get(m, _GENERIC) for ch, m in gates.items()}
+    steps = _DEFAULT_STEPS if gates is ring.GATES else _gate_steps(gates)
     k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0
     b3 = c3 = d3 = 0
     a0 = a3 = 1
@@ -224,12 +241,16 @@ def render(nf, table=None):
 def normal_form_matrix(nf, table=None):
     """Exact matrix of a normal form: evaluate on the blocks' word (their
     labels joined, so each block runs through evaluate's gate steps),
-    times the Clifford tail's element matrix."""
+    times the Clifford tail's element matrix.  A form without blocks is
+    its tail's matrix."""
     if table is None:
         table = _default_rules().table
     _check_form(nf, table)
+    tail = table.elements[nf.cliff]
+    if not nf.blocks:
+        return tail
     word = "".join(map(table.block_labels.__getitem__, nf.blocks))
-    return evaluate(word, table.gates) * table.elements[nf.cliff]
+    return evaluate(word, table.gates) * tail
 
 
 def equivalent(c1, c2, table=None, rules=None):

@@ -17,6 +17,7 @@ so applying a matrix to a state builds no per-entry objects either.
 from __future__ import annotations
 
 import cmath
+from types import MappingProxyType
 
 _OMEGA_C = cmath.exp(1j * cmath.pi / 4)
 
@@ -388,6 +389,7 @@ PAULI_X = UMat2(ZERO, ONE, ONE, ZERO)
 PAULI_Y = UMat2(ZERO, -I_UNIT, I_UNIT, ZERO)
 PAULI_Z = UMat2(ONE, ZERO, ZERO, -ONE)
 
-GATES = {"H": H, "P": P, "T": T}
+# Read-only: evaluate reads it as its default gate set.
+GATES = MappingProxyType({"H": H, "P": P, "T": T})
 
 KET0 = StateVec(ONE, ZERO)

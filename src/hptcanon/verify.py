@@ -12,7 +12,8 @@ acceptance gate asserts on these results and their exact details.
 
 import random
 import time
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
@@ -92,17 +93,32 @@ def check_appendix(ctx):
 
 
 def check_counting(ctx, nmax=12):
+    """Count the normal forms with <= nmax blocks per layer against the
+    closed forms, and check that they come strictly ordered by
+    (len(blocks), blocks, cliff).
+
+    The forms are taken one block tuple at a time (groupby on blocks):
+    inside a group the tails must strictly increase, and from one group
+    to the next (len(blocks), blocks) must strictly increase.  groupby
+    ends a group only where blocks change, so consecutive forms either
+    share blocks and are ordered by their tails, or differ in blocks and
+    are ordered by (len(blocks), blocks) alone: together this is the
+    same strict order on every consecutive pair of forms.
+    """
     t0 = time.perf_counter()
-    table = ctx["table"]
     layer = [0] * (nmax + 1)
     prev = None
     monotone = True
-    for nf in census.enumerate_normal_forms(nmax, table):
-        layer[len(nf.blocks)] += 1
-        code = (len(nf.blocks), nf.blocks, nf.cliff)
-        if prev is not None and code <= prev:
+    for blocks, forms in groupby(
+            census.enumerate_normal_forms(nmax, ctx["table"]),
+            key=itemgetter(0)):
+        tails = list(map(itemgetter(1), forms))
+        code = (len(blocks), blocks)
+        if not ((prev is None or prev < code)
+                and all(map(lt, tails, tails[1:]))):
             monotone = False
         prev = code
+        layer[len(blocks)] += len(tails)
     ok = monotone
     for k, got in enumerate(layer):
         if got != census.count_closed_form(k, exact=True):

@@ -1,14 +1,15 @@
 """Normal-form enumeration, counting formulas, brute-force oracles."""
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 
-from hptcanon import census, ring
+from hptcanon import census, ring, verify
 from hptcanon.census import (LimitExceeded, brute_force_mn, count_closed_form,
                              enumerate_normal_forms, verify_uniqueness)
 from hptcanon.group import build_group
-from hptcanon.normalize import Block, normal_form_matrix
+from hptcanon.normalize import Block, NormalForm, normal_form_matrix
 from hptcanon.ring import RingElem, UMat2
 
 
@@ -49,6 +50,68 @@ def test_enumeration_layers_and_shape(table):
             for b in nf.blocks[1:]:
                 assert b in (Block.HT, Block.PHT)
     assert layer == {0: 192, 1: 576, 2: 1152, 3: 2304}
+
+
+def test_enumeration_equals_nested_loop_reference(table):
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    # Block tuples layer by layer, each extended by its last block.
+    tuples = [()]
+    layer = [(b,) for b in (Block.T, Block.HT, Block.PHT)]
+    for _ in range(5):
+        tuples += layer
+        layer = [t + (b,) for t in layer for b in (Block.HT, Block.PHT)]
+    for tab in (table, r_table):
+        want = [NormalForm(blocks, cliff)
+                for blocks in tuples for cliff in range(tab.order)]
+        for n in range(6):
+            got = list(enumerate_normal_forms(n, tab))
+            assert got == want[:count_closed_form(n, order=tab.order)]
+        assert all(type(nf) is NormalForm and type(nf.cliff) is int
+                   and all(type(b) is Block for b in nf.blocks)
+                   for nf in got)
+
+
+def test_enumeration_is_lazy():
+    # n = 60 means about 7 * 10**20 forms; only the first are ever built.
+    assert list(islice(enumerate_normal_forms(60), 3)) == [
+        NormalForm((), 0), NormalForm((), 1), NormalForm((), 2)]
+    assert next(islice(enumerate_normal_forms(60), 192, None)) == \
+        NormalForm((Block.T,), 0)
+
+
+def _swap_tails(forms):
+    forms[200], forms[201] = forms[201], forms[200]
+
+
+def _swap_block_groups(forms):
+    # Layer 1's (HT,) and (PHT,) groups trade places; counts are kept.
+    forms[384:768] = forms[576:768] + forms[384:576]
+
+
+def _duplicate_form(forms):
+    forms[201] = forms[200]
+
+
+def _move_into_layer_0(forms):
+    forms.insert(100, forms.pop(192))
+
+
+@pytest.mark.parametrize("mutate", [_swap_tails, _swap_block_groups,
+                                    _duplicate_form, _move_into_layer_0])
+def test_counting_check_fails_on_misordered_enumeration(table, rules,
+                                                        monkeypatch, mutate):
+    real = census.enumerate_normal_forms
+
+    def mutated(n, tab=None):
+        forms = list(real(n, tab))
+        mutate(forms)
+        return iter(forms)
+
+    monkeypatch.setattr(census, "enumerate_normal_forms", mutated)
+    res = verify.check_counting({"table": table, "rules": rules}, nmax=3)
+    assert not res.ok
+    assert res.detail == ("n<=3: 4224 normal forms, strictly ordered, "
+                          "layers match closed forms")
 
 
 def test_enumeration_order_is_deterministic_and_monotone(table):

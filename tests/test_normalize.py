@@ -87,6 +87,24 @@ def test_evaluate_rejects_unknown_gate():
         evaluate("TH", {"T": ring.T})
 
 
+def test_evaluate_reads_the_gates_mapping_at_each_call(table):
+    # A caller's later change to its own mapping is seen, and a matrix
+    # equal to a ring gate but not the same object takes the same step.
+    gates = {"H": ring.H, "P": ring.P, "T": ring.T}
+    assert evaluate("THT", gates) == evaluate("THT")
+    gates["T"] = ring.P
+    assert evaluate("THT", gates) == evaluate("PHP")
+    gates["T"] = ring.UMat2(ring.ONE, ring.ZERO, ring.ZERO, ring.OMEGA)
+    assert evaluate("THT", gates) == evaluate("THT")
+    del gates["T"]
+    with pytest.raises(ValueError, match="gate 'T' not in this basis"):
+        evaluate("THT", gates)
+    # The shared gate sets cannot be changed under evaluate.
+    for shared in (ring.GATES, table.gates):
+        with pytest.raises(TypeError):
+            shared["T"] = ring.P
+
+
 def _oracle_key(word, gates):
     # Independent route: fold census's flat product over the gate keys.
     key = ring.IDENTITY.scaled_key()
