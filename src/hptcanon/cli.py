@@ -77,7 +77,6 @@ def _build_parser():
     p = sub.add_parser("enumerate",
                        help="stream every normal form with at most n T gates")
     p.add_argument("n", type=_nonneg)
-    p.add_argument("--format", choices=("jsonl",), default="jsonl")
 
     p = sub.add_parser("tables",
                        help="dump the Clifford group or rewrite rules, or "
@@ -123,20 +122,13 @@ def _cmd_matrix(args):
     return 0
 
 
-def _stab_line(st, cls):
-    return (f"ℓ={st.level} x=({st.x[0]},{st.x[1]}) "
-            f"y=({st.y[0]},{st.y[1]}) z=({st.z[0]},{st.z[1]}) "
-            f"class={cls.name}")
-
-
 def _cmd_stab(args):
     from . import stab
     nf = normalize(parse(args.circuit))
-    st = stab.initial_stab(nf.cliff, _default_rules().table)
-    print(_stab_line(st, stab.classify(st)))
-    for block in reversed(nf.blocks):
-        st = stab.step_block(st, block)
-        print(_stab_line(st, stab.classify(st)))
+    for st in stab.stab_trace(nf, _default_rules().table):
+        print(f"ℓ={st.level} x=({st.x[0]},{st.x[1]}) "
+              f"y=({st.y[0]},{st.y[1]}) z=({st.z[0]},{st.z[1]}) "
+              f"class={stab.classify(st).name}")
     return 0
 
 

@@ -9,6 +9,7 @@ normal forms with T gates cannot be the identity.
 """
 
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import ring
@@ -100,15 +101,19 @@ def classify(st):
     return _CLASS_BY_PARITY.get(parity, ParityClass.OTHER)
 
 
-def stab_of_normal_form(nf, table):
-    """Fold step_block over the blocks from rightmost (adjacent to the
-    Clifford tail) to leftmost, starting from the tail's axis.  A form
-    that does not belong to the table raises ValueError."""
+def stab_trace(nf, table):
+    """Triples at levels 0..len(nf.blocks): the Clifford tail's axis, then
+    step_block over the blocks from rightmost (adjacent to the tail) to
+    leftmost.  A form that does not belong to the table raises
+    ValueError."""
     _check_form(nf, table)
-    st = initial_stab(nf.cliff, table)
-    for b in reversed(nf.blocks):
-        st = step_block(st, b)
-    return st
+    return list(accumulate(reversed(nf.blocks), step_block,
+                           initial=initial_stab(nf.cliff, table)))
+
+
+def stab_of_normal_form(nf, table):
+    """The triple of the whole form: the last item of stab_trace."""
+    return stab_trace(nf, table)[-1]
 
 
 def stab_matrix(st):

@@ -108,26 +108,33 @@ def check_counting(ctx, nmax=12):
     t0 = time.perf_counter()
     layer = [0] * (nmax + 1)
     prev = None
-    monotone = True
+    broken = None
     for blocks, forms in groupby(
             census.enumerate_normal_forms(nmax, ctx["table"]),
             key=itemgetter(0)):
         tails = list(map(itemgetter(1), forms))
         code = (len(blocks), blocks)
-        if not ((prev is None or prev < code)
-                and all(map(lt, tails, tails[1:]))):
-            monotone = False
+        if broken is None and not ((prev is None or prev < code)
+                                   and all(map(lt, tails, tails[1:]))):
+            # steps[j] says whether the group's form j is above the form
+            # before it; the first False is the first out-of-order form.
+            steps = [prev is None or prev < code, *map(lt, tails, tails[1:])]
+            broken = sum(layer) + steps.index(False)
         prev = code
         layer[len(blocks)] += len(tails)
-    ok = monotone
-    for k, got in enumerate(layer):
-        if got != census.count_closed_form(k, exact=True):
-            ok = False
+    bad = [(k, got, want) for k, got in enumerate(layer)
+           if got != (want := census.count_closed_form(k, exact=True))]
     total = sum(layer)
-    ok = ok and total == census.count_closed_form(nmax)
-    return _result("counting", t0, ok,
-                   f"n<={nmax}: {total} normal forms, strictly ordered, "
-                   f"layers match closed forms")
+    want_total = census.count_closed_form(nmax)
+    ok = broken is None and not bad and total == want_total
+    order = ("strictly ordered" if broken is None
+             else f"order broken at form {broken}")
+    layers = ("layers match closed forms" if not bad
+              else "layer {}: {} forms, closed form {}".format(*bad[0]))
+    detail = f"n<={nmax}: {total} normal forms, {order}, {layers}"
+    if total != want_total:
+        detail += f", closed-form total {want_total}"
+    return _result("counting", t0, ok, detail)
 
 
 def check_oracle(ctx, oracle_max=4):
@@ -259,15 +266,14 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
             rng.choice((Block.HT, Block.PHT)) for _ in range(k - 1))
         cliff = rng.randrange(table.order)
         nf = NormalForm(blocks, cliff)
-        st = stab.initial_stab(cliff, table)
+        trace = stab.stab_trace(nf, table)
         state = table.elements[cliff].apply(ring.KET0)
-        if not stab.verify_stabilizes(st, state):
+        if not stab.verify_stabilizes(trace[0], state):
             failures += 1
             continue
-        prev = stab.classify(st)
+        prev = stab.classify(trace[0])
         ok = True
-        for b in reversed(blocks):
-            st = stab.step_block(st, b)
+        for b, st in zip(reversed(blocks), trace[1:]):
             state = table.block_matrices[b].apply(state)
             if not stab.verify_stabilizes(st, state):
                 ok = False
@@ -280,13 +286,12 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
                     ok = False
                     break
             prev = cur
-        # prev is now the final class; a finished chain must end in T1..T9.
-        if not ok or st.level != k or prev is stab.ParityClass.OTHER:
-            failures += 1
-            continue
-        witness = stab.nonidentity_witness(nf, table)
-        really = normal_form_matrix(nf, table) != ring.IDENTITY
-        if not (witness and really):
+        # prev is now the final class.  A finished chain must end in
+        # T1..T9, nonidentity_witness's certificate for k >= 3, and its
+        # matrix must not be the identity, the witness for k = 2.
+        if (not ok or trace[-1].level != k
+                or prev is stab.ParityClass.OTHER
+                or normal_form_matrix(nf, table) == ring.IDENTITY):
             failures += 1
     dt = time.perf_counter() - t0
     ok = failures == 0 and dt < 30.0

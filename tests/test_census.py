@@ -96,8 +96,26 @@ def _move_into_layer_0(forms):
     forms.insert(100, forms.pop(192))
 
 
-@pytest.mark.parametrize("mutate", [_swap_tails, _swap_block_groups,
-                                    _duplicate_form, _move_into_layer_0])
+def _drop_form(forms):
+    del forms[300]
+
+
+# The detail each mutated enumeration gets: the failed condition is named.
+_COUNTING_FAILURES = {
+    _swap_tails: "4224 normal forms, order broken at form 201, "
+                 "layers match closed forms",
+    _swap_block_groups: "4224 normal forms, order broken at form 576, "
+                        "layers match closed forms",
+    _duplicate_form: "4224 normal forms, order broken at form 201, "
+                     "layers match closed forms",
+    _move_into_layer_0: "4224 normal forms, order broken at form 101, "
+                        "layers match closed forms",
+    _drop_form: "4223 normal forms, strictly ordered, layer 1: 575 forms, "
+                "closed form 576, closed-form total 4224",
+}
+
+
+@pytest.mark.parametrize("mutate", list(_COUNTING_FAILURES))
 def test_counting_check_fails_on_misordered_enumeration(table, rules,
                                                         monkeypatch, mutate):
     real = census.enumerate_normal_forms
@@ -110,8 +128,7 @@ def test_counting_check_fails_on_misordered_enumeration(table, rules,
     monkeypatch.setattr(census, "enumerate_normal_forms", mutated)
     res = verify.check_counting({"table": table, "rules": rules}, nmax=3)
     assert not res.ok
-    assert res.detail == ("n<=3: 4224 normal forms, strictly ordered, "
-                          "layers match closed forms")
+    assert res.detail == f"n<=3: {_COUNTING_FAILURES[mutate]}"
 
 
 def test_enumeration_order_is_deterministic_and_monotone(table):

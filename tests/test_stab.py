@@ -7,11 +7,19 @@ import pytest
 
 from hptcanon import ring
 from hptcanon.group import build_group
-from hptcanon.normalize import Block, NormalForm
+from hptcanon.normalize import Block, NormalForm, normal_form_matrix
 from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
                            classify, initial_stab, nonidentity_witness,
-                           stab_matrix, stab_of_normal_form, step_block,
-                           verify_stabilizes)
+                           stab_matrix, stab_of_normal_form, stab_trace,
+                           step_block, verify_stabilizes)
+
+
+def _random_form(rng, k, table):
+    # A bare T block can only sit leftmost in a normal form.
+    blocks = tuple(rng.choice((Block.HT, Block.PHT)) for _ in range(k))
+    if blocks and rng.random() < 0.5:
+        blocks = (Block.T,) + blocks[1:]
+    return NormalForm(blocks, rng.randrange(table.order))
 
 
 def test_initial_axes(table):
@@ -78,6 +86,22 @@ def test_fold_over_normal_form(table):
                              table)
     assert st == StabTriple((1, 0), (1, 0), (0, 0), 1)
 
+    # The trace holds levels 0..k: the tail's axis, then one step per
+    # block from the rightmost block to the leftmost.
+    rng = random.Random(61)
+    for k in list(range(31)) + [rng.randint(0, 30) for _ in range(100)]:
+        nf = _random_form(rng, k, table)
+        trace = stab_trace(nf, table)
+        assert [st.level for st in trace] == list(range(k + 1))
+        assert trace[0] == initial_stab(nf.cliff, table)
+        for st, b, nxt in zip(trace, reversed(nf.blocks), trace[1:]):
+            assert nxt == step_block(st, b)
+        assert trace[-1] == stab_of_normal_form(nf, table)
+    for foreign in (NormalForm((Block.T,), table.order),
+                    NormalForm((Block.HT, 7), 0)):
+        with pytest.raises(ValueError, match="not a normal form"):
+            stab_trace(foreign, table)
+
 
 def test_verify_stabilizes():
     z_axis = StabTriple((0, 0), (0, 0), (1, 0), 0)
@@ -126,6 +150,14 @@ def test_witness_basics(table):
     assert nonidentity_witness(NormalForm((Block.HT, Block.HT), 0), table)
     with pytest.raises(NoTGates):
         nonidentity_witness(NormalForm((), 0), table)
+    # One and two blocks take the matrix branch, three or more the fold;
+    # both must agree with the exact matrix.
+    rng = random.Random(67)
+    for k in ([1, 2] * 50 + list(range(3, 31))
+              + [rng.randint(1, 30) for _ in range(100)]):
+        nf = _random_form(rng, k, table)
+        really = normal_form_matrix(nf, table) != ring.IDENTITY
+        assert (nonidentity_witness(nf, table), really) == (True, True), nf
 
 
 def test_two_block_classes_from_each_axis(table):
