@@ -9,8 +9,9 @@ normal forms with T gates cannot be the identity.
 """
 
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from . import ring
 from .normalize import Block, _check_form, normal_form_matrix
@@ -59,21 +60,38 @@ _CLASS_BY_PARITY = {
 }
 
 
+# Per table, the axes initial_stab has computed so far, indexed by
+# element id.  Weak keys: the memo neither keeps a table alive nor hands
+# one table's axes to another.
+_AXIS_MEMO = WeakKeyDictionary()
+
+
 def initial_stab(w0, table):
     """Signed Pauli axis stabilizing f(W0)|0>: read x, y, z off the key of
     f(W0)*Z*f(W0)^dagger (e10 = x + i*y, e00 = z), then check that the key
-    is exactly the level-0 key of x*X + y*Y + z*Z.  Level starts at 0; an
-    id outside 0..order-1 raises ValueError."""
+    is exactly the level-0 key of x*X + y*Y + z*Z.  Level starts at 0.
+
+    The axis depends only on (table, w0), so each is computed once, on
+    first use, and memoised per table.  The id is checked on every call:
+    one outside 0..order-1 raises ValueError.  An element that does not
+    map Z to a signed Pauli raises NotSignedPauli on every call; a failure
+    is never memoised."""
     if not 0 <= w0 < table.order:
         raise ValueError(f"element id {w0!r} is not in this table "
                          f"(order {table.order})")
-    m = table.elements[w0]
-    key = ((m * ring.PAULI_Z) * m.adjoint()).scaled_key()
-    x, y, z = key[9], key[11], key[1]
-    if key != (0, z, 0, 0, 0, x, 0, -y, 0, x, 0, y, 0, -z, 0, 0, 0):
-        raise NotSignedPauli(f"element {table.words[w0]!r} does not map Z "
-                             "to a signed Pauli")
-    return StabTriple((x, 0), (y, 0), (z, 0), 0)
+    axes = _AXIS_MEMO.get(table)
+    if axes is None:
+        axes = _AXIS_MEMO[table] = [None] * table.order
+    st = axes[w0]
+    if st is None:
+        m = table.elements[w0]
+        key = ((m * ring.PAULI_Z) * m.adjoint()).scaled_key()
+        x, y, z = key[9], key[11], key[1]
+        if key != (0, z, 0, 0, 0, x, 0, -y, 0, x, 0, y, 0, -z, 0, 0, 0):
+            raise NotSignedPauli(f"element {table.words[w0]!r} does not map "
+                                 "Z to a signed Pauli")
+        st = axes[w0] = StabTriple((x, 0), (y, 0), (z, 0), 0)
+    return st
 
 
 # Plain ints: an enum class attribute costs a lookup on every block.
@@ -126,6 +144,30 @@ def stab_matrix(st):
                       elem(xa, xb - yb, -ya, -xb - yb, level),
                       elem(xa, xb + yb, ya, -xb + yb, level),
                       elem(-za, -zb, 0, zb, level))
+
+
+def step_law_counterexample(table):
+    """The first (block, level, unit triple) that breaks the step law, or
+    None when it holds for every triple at every level.
+
+    The step law for block b with matrix B = table.block_matrices[b]:
+    stab_matrix(step_block(st, b)) * B == B * stab_matrix(st).  So if the
+    triple st stabilizes a state s, step_block(st, b) stabilizes B s.
+    Both sides are linear in the six coefficients, and a triple at level
+    l + 2 is the same coefficients at level l divided by 2 on both sides.
+    So the six unit triples at levels 0 and 1, for each of the three
+    blocks, prove the law for every triple: 36 exact comparisons.
+    """
+    for b in Block:
+        m = table.block_matrices[b]
+        for level in (0, 1):
+            for axis, unit in product(range(3), ((1, 0), (0, 1))):
+                coeffs = [(0, 0)] * 3
+                coeffs[axis] = unit
+                st = StabTriple(*coeffs, level)
+                if stab_matrix(step_block(st, b)) * m != m * stab_matrix(st):
+                    return b, level, st
+    return None
 
 
 def verify_stabilizes(st, state):

@@ -7,10 +7,12 @@ PASS/FAIL verdict before asserting, so the terminal summary always shows
 all eleven outcomes."""
 
 import types
+import weakref
 
 import pytest
 
-from hptcanon import stab, verify
+from hptcanon import ring, stab, verify
+from hptcanon.normalize import Block
 
 
 @pytest.fixture
@@ -85,6 +87,36 @@ def test_stabilizer_chains_must_end_in_a_parity_class(table, rules,
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (res.ok, res.detail) == (
         False, "20 chains, 0 transition-law checks, 20 failures, "
+               "within 30s budget")
+
+
+def test_stabilizer_chains_name_a_broken_step_law(table, rules,
+                                                  monkeypatch):
+    # One wrong coefficient in the PHT branch: z_a gets x_a + y_a, not
+    # x_a - y_a.  Parities are unchanged, so every transition law still
+    # holds; the step law and each chain's end check fail.
+    step_block = stab.step_block
+
+    def wrong(st, b):
+        nxt = step_block(st, b)
+        if b != Block.PHT:
+            return nxt
+        return nxt._replace(z=(st.x[0] + st.y[0], nxt.z[1]))
+    monkeypatch.setattr(stab, "step_block", wrong)
+    res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
+    assert (res.ok, res.detail) == (
+        False, "20 chains, 281 transition-law checks, 20 failures, "
+               "within 30s budget; step law fails for block PHT at level 0")
+
+
+def test_stabilizer_chains_check_the_initial_axis(table, rules, monkeypatch):
+    # Every initial axis with its sign flipped, from a cleared memo.  The
+    # parity classes cannot see a sign; each chain's end check does.
+    monkeypatch.setattr(stab, "_AXIS_MEMO", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(ring, "PAULI_Z", -ring.PAULI_Z)
+    res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
+    assert (res.ok, res.detail) == (
+        False, "20 chains, 281 transition-law checks, 20 failures, "
                "within 30s budget")
 
 

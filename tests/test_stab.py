@@ -1,17 +1,20 @@
 """Stabilizer triples, block transitions, parity classes, witnesses."""
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
 
-from hptcanon import ring
+from hptcanon import ring, stab
 from hptcanon.group import build_group
 from hptcanon.normalize import Block, NormalForm, normal_form_matrix
 from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
                            classify, initial_stab, nonidentity_witness,
                            stab_matrix, stab_of_normal_form, stab_trace,
-                           step_block, verify_stabilizes)
+                           step_block, step_law_counterexample,
+                           verify_stabilizes)
 
 
 def _random_form(rng, k, table):
@@ -41,15 +44,46 @@ def test_initial_axis_is_signed_pauli_for_all_elements(table):
     assert len(axes) == 6  # all six signed axes occur
 
 
+def test_initial_stab_equals_direct_conjugation_per_table(table,
+                                                          monkeypatch):
+    # Fresh memo; the two tables are called in alternation, so an axis
+    # memoised for one table and handed to the other would show here.
+    monkeypatch.setattr(stab, "_AXIS_MEMO", weakref.WeakKeyDictionary())
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    assert r_table.order == table.order
+    differ = 0
+    for w0 in range(table.order):
+        got = {}
+        for t in (table, r_table, table, r_table):
+            m = t.elements[w0]
+            st = initial_stab(w0, t)
+            assert st.level == 0
+            assert stab_matrix(st) == (m * ring.PAULI_Z) * m.adjoint(), w0
+            assert got.setdefault(t, st) == st
+        differ += got[table] != got[r_table]
+    assert differ > 0
+
+
 def test_initial_stab_refuses_ids_and_non_clifford_elements(table):
+    for w0 in range(table.order):
+        initial_stab(w0, table)
+    # Still refused once the table's memo is full.
     for bad in (500, 192, -1):
         with pytest.raises(ValueError, match="not in this table"):
             initial_stab(bad, table)
-    # <HTH> is cyclic of order 8, and HTH maps Z to (Z - Y)/sqrt2.
+    # <HTH> is cyclic of order 8, and HTH maps Z to (Z - Y)/sqrt2.  The
+    # failure is raised on every call, never memoised.
     q_table = build_group([("Q", ring.H * ring.T * ring.H)])
     assert q_table.order == 8
-    with pytest.raises(NotSignedPauli):
-        initial_stab(q_table.gen_ids["Q"], q_table)
+    for _ in range(2):
+        with pytest.raises(NotSignedPauli):
+            initial_stab(q_table.gen_ids["Q"], q_table)
+    assert initial_stab(0, q_table) == StabTriple((0, 0), (0, 0), (1, 0), 0)
+    # The memo does not keep a table alive.
+    ref = weakref.ref(q_table)
+    del q_table
+    gc.collect()
+    assert ref() is None
 
 
 def test_step_t_on_z_axis():
@@ -65,6 +99,21 @@ def test_step_t_on_x_axis():
 def test_step_ht():
     st = step_block(StabTriple((0, 1), (0, 0), (0, 0), 1), Block.HT)
     assert st == StabTriple((0, 0), (0, -1), (0, 1), 2)
+
+
+def test_step_law_holds_and_names_a_wrong_coefficient(table, monkeypatch):
+    assert step_law_counterexample(table) is None
+    # One wrong coefficient in one branch: the y_a term of the new x
+    # coefficient is off by 2.  The first failing unit triple is y = 1.
+    for block in Block:
+        def wrong(st, b, block=block):
+            nxt = step_block(st, b)
+            if b != block:
+                return nxt
+            return nxt._replace(x=(nxt.x[0] + 2 * st.y[0], nxt.x[1]))
+        monkeypatch.setattr(stab, "step_block", wrong)
+        assert step_law_counterexample(table) == (
+            block, 0, StabTriple((0, 0), (1, 0), (0, 0), 0))
 
 
 def test_classify_examples():
