@@ -86,9 +86,9 @@ class GroupTable:
     def __contains__(self, mat):
         return mat in self.index
 
-    def word_id(self, word, start=0):
-        """Id of matrix(start) * f(word) for a word over the generators."""
-        g = start
+    def word_id(self, word):
+        """Id of f(word) for a word over the generators."""
+        g = self.identity_id
         steps = self.letter_step
         for ch in word:
             try:

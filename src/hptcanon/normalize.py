@@ -46,11 +46,18 @@ def _default_rules():
     return build_rules(build_standard_table())
 
 
+def _rules(caller, table, rules):
+    # Slow path of the entry points' guard: no arguments mean the default
+    # rules, rules whose .table (getattr: duck-typed rules too) is the
+    # given table are kept, and _resolve_rules refuses the rest by name.
+    if table is None and rules is None:
+        return _default_rules()
+    if table is not None and getattr(rules, "table", None) is table:
+        return rules
+    return _resolve_rules(caller, table, rules)
+
+
 def _resolve_rules(caller, table, rules):
-    # The slow path of the (table, rules) preamble: callers skip it for
-    # no arguments, for a RuleTable alone and for a table that is
-    # rules.table, and reach it for anything else (on AttributeError for
-    # rules that have no .table).
     if rules is None:
         if table is None:
             return _default_rules()
@@ -208,16 +215,9 @@ def normalize(circuit, table=None, rules=None):
     the previous block X*T, merging T*T into P (pending becomes X*P*W1,
     one lookup in rules.merge).  Amortized O(1) table lookups per gate.
     """
-    if table is not None:
-        try:
-            if table is not rules.table:
-                rules = _resolve_rules("normalize", table, rules)
-        except AttributeError:
-            rules = _resolve_rules("normalize", table, rules)
-    elif rules is None:
-        rules = _default_rules()
-    elif rules.__class__ is not RuleTable:
-        rules = _resolve_rules("normalize", table, rules)
+    if (rules.__class__ is not RuleTable
+            or table is not None and table is not rules.table):
+        rules = _rules("normalize", table, rules)
     blocks, cliff = _fold(circuit, rules)
     return NormalForm(tuple(map(_BLOCKS.__getitem__, blocks)), cliff)
 
@@ -256,32 +256,18 @@ def normal_form_matrix(nf, table=None):
 def equivalent(c1, c2, table=None, rules=None):
     """Exact equality of the two circuits' matrices, decided structurally
     on normal forms."""
-    if table is not None:
-        try:
-            if table is not rules.table:
-                rules = _resolve_rules("equivalent", table, rules)
-        except AttributeError:
-            rules = _resolve_rules("equivalent", table, rules)
-    elif rules is None:
-        rules = _default_rules()
-    elif rules.__class__ is not RuleTable:
-        rules = _resolve_rules("equivalent", table, rules)
+    if (rules.__class__ is not RuleTable
+            or table is not None and table is not rules.table):
+        rules = _rules("equivalent", table, rules)
     return _fold(c1, rules) == _fold(c2, rules)
 
 
 def t_count(circuit, table=None, rules=None):
     """Minimal number of T gates over all circuits computing the same
     matrix; the block count of the normal form."""
-    if table is not None:
-        try:
-            if table is not rules.table:
-                rules = _resolve_rules("t_count", table, rules)
-        except AttributeError:
-            rules = _resolve_rules("t_count", table, rules)
-    elif rules is None:
-        rules = _default_rules()
-    elif rules.__class__ is not RuleTable:
-        rules = _resolve_rules("t_count", table, rules)
+    if (rules.__class__ is not RuleTable
+            or table is not None and table is not rules.table):
+        rules = _rules("t_count", table, rules)
     return len(_fold(circuit, rules)[0])
 
 
@@ -294,16 +280,9 @@ def invert(circuit, table=None, rules=None):
     T count is preserved.  A letter outside the basis passes through
     unchanged and normalize rejects it.
     """
-    if table is not None:
-        try:
-            if table is not rules.table:
-                rules = _resolve_rules("invert", table, rules)
-        except AttributeError:
-            rules = _resolve_rules("invert", table, rules)
-    elif rules is None:
-        rules = _default_rules()
-    elif rules.__class__ is not RuleTable:
-        rules = _resolve_rules("invert", table, rules)
+    if (rules.__class__ is not RuleTable
+            or table is not None and table is not rules.table):
+        rules = _rules("invert", table, rules)
     table = rules.table
     inv_words = {name: table.words[table.inv[gid]]
                  for name, gid in table.gen_ids.items()}

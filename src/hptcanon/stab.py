@@ -86,11 +86,11 @@ def initial_stab(w0, table):
     if st is None:
         m = table.elements[w0]
         key = ((m * ring.PAULI_Z) * m.adjoint()).scaled_key()
-        x, y, z = key[9], key[11], key[1]
-        if key != (0, z, 0, 0, 0, x, 0, -y, 0, x, 0, y, 0, -z, 0, 0, 0):
+        st = StabTriple((key[9], 0), (key[11], 0), (key[1], 0), 0)
+        if key != (0, *_numerators(st)):
             raise NotSignedPauli(f"element {table.words[w0]!r} does not map "
                                  "Z to a signed Pauli")
-        st = axes[w0] = StabTriple((x, 0), (y, 0), (z, 0), 0)
+        axes[w0] = st
     return st
 
 
@@ -119,12 +119,20 @@ def classify(st):
     return _CLASS_BY_PARITY.get(parity, ParityClass.OTHER)
 
 
+def _check_chain(nf, table):
+    # A form of this table whose blocks are in (T|e)(HT|PHT)*.
+    _check_form(nf, table)
+    if _T in nf.blocks[1:]:
+        raise ValueError(f"{nf!r} is not a normal form: a bare T block "
+                         "can only sit leftmost")
+
+
 def stab_trace(nf, table):
     """Triples at levels 0..len(nf.blocks): the Clifford tail's axis, then
     step_block over the blocks from rightmost (adjacent to the tail) to
-    leftmost.  A form that does not belong to the table raises
-    ValueError."""
-    _check_form(nf, table)
+    leftmost.  A form that does not belong to the table, or whose blocks
+    have a bare T after the leftmost, raises ValueError."""
+    _check_chain(nf, table)
     return list(accumulate(reversed(nf.blocks), step_block,
                            initial=initial_stab(nf.cliff, table)))
 
@@ -134,16 +142,20 @@ def stab_of_normal_form(nf, table):
     return stab_trace(nf, table)[-1]
 
 
-def stab_matrix(st):
-    """M = x*X + y*Y + z*Z as an exact ring matrix.  A coefficient has
-    numerator (a, b, 0, -b) over sqrt2**level (sqrt2 = omega - omega**3)
+def _numerators(st):
+    """The 16 numerators over sqrt2**level of x*X + y*Y + z*Z, row-major.
+    A coefficient has numerator (a, b, 0, -b) (sqrt2 = omega - omega**3)
     and i*y has (0, yb, ya, yb), which gives the four entries."""
-    (xa, xb), (ya, yb), (za, zb), level = st
-    elem = ring.RingElem
-    return ring.UMat2(elem(za, zb, 0, -zb, level),
-                      elem(xa, xb - yb, -ya, -xb - yb, level),
-                      elem(xa, xb + yb, ya, -xb + yb, level),
-                      elem(-za, -zb, 0, zb, level))
+    (xa, xb), (ya, yb), (za, zb), _ = st
+    return (za, zb, 0, -zb, xa, xb - yb, -ya, -xb - yb,
+            xa, xb + yb, ya, -xb + yb, -za, -zb, 0, zb)
+
+
+def stab_matrix(st):
+    """M = x*X + y*Y + z*Z as an exact ring matrix, from _numerators."""
+    n, level = _numerators(st), st.level
+    return ring.UMat2(*(ring.RingElem(*n[i:i + 4], level)
+                        for i in range(0, 16, 4)))
 
 
 def step_law_counterexample(table):
@@ -173,40 +185,21 @@ def step_law_counterexample(table):
 def verify_stabilizes(st, state):
     """Exact check that (x, y, z) stabilizes the state: M s = s.
 
-    Runs on the flat numerators, with no matrix or RingElem built.  With
-    M = N / sqrt2**level (stab_matrix) and s = (u, v) / sqrt2**k, the
-    check is N (u, v) = sqrt2**level (u, v), where the rows of N (u, v)
-    are z*u + x*v - i*y*v and x*u + i*y*u - z*v.  A coefficient (a, b)
-    acts on a numerator w as a*w + b*sqrt2*w.
+    With M = N / sqrt2**level (N from _numerators) and s = (u, v) / sqrt2**k,
+    the check is N (u, v) = sqrt2**level (u, v), on integer numerators:
+    UMat2.apply at exponent 0 takes no reduction step, so it returns
+    N (u, v) unreduced.
     """
-    (xa, xb), (ya, yb), (za, zb), level = st
     try:
         _, u0, u1, u2, u3, v0, v1, v2, v3 = state._key
     except (AttributeError, ValueError):
         raise TypeError("verify_stabilizes() state must be a StateVec, "
                         f"not {type(state).__name__}") from None
-    # sqrt2*w maps (a, b, c, d) to (b - d, a + c, b + d, c - a), and i*w
-    # maps it to (-c, -d, a, b).
-    r0, r1, r2, r3 = u1 - u3, u0 + u2, u1 + u3, u2 - u0
-    t0, t1, t2, t3 = v1 - v3, v0 + v2, v1 + v3, v2 - v0
-    yu0, yu1, yu2, yu3 = (ya*u0 + yb*r0, ya*u1 + yb*r1,
-                          ya*u2 + yb*r2, ya*u3 + yb*r3)
-    yv0, yv1, yv2, yv3 = (ya*v0 + yb*t0, ya*v1 + yb*t1,
-                          ya*v2 + yb*t2, ya*v3 + yb*t3)
-    # sqrt2**level * w is 2**(level // 2) times w or sqrt2*w.
-    f = 1 << (level >> 1)
-    su, sv = ((r0, r1, r2, r3), (t0, t1, t2, t3)) if level & 1 else \
-        ((u0, u1, u2, u3), (v0, v1, v2, v3))
-    return ((za*u0 + zb*r0 + xa*v0 + xb*t0 + yv2,
-             za*u1 + zb*r1 + xa*v1 + xb*t1 + yv3,
-             za*u2 + zb*r2 + xa*v2 + xb*t2 - yv0,
-             za*u3 + zb*r3 + xa*v3 + xb*t3 - yv1)
-            == (f * su[0], f * su[1], f * su[2], f * su[3])
-            and (xa*u0 + xb*r0 - yu2 - za*v0 - zb*t0,
-                 xa*u1 + xb*r1 - yu3 - za*v1 - zb*t1,
-                 xa*u2 + xb*r2 + yu0 - za*v2 - zb*t2,
-                 xa*u3 + xb*r3 + yu1 - za*v3 - zb*t3)
-            == (f * sv[0], f * sv[1], f * sv[2], f * sv[3]))
+    n = ring.UMat2._raw((0, *_numerators(st))).apply(
+        ring.StateVec._raw((0, u0, u1, u2, u3, v0, v1, v2, v3)))._key
+    level = st.level
+    return n[1:] == (ring._scaled(u0, u1, u2, u3, level)
+                     + ring._scaled(v0, v1, v2, v3, level))
 
 
 def nonidentity_witness(nf, table):
@@ -216,9 +209,11 @@ def nonidentity_witness(nf, table):
     the folded triple's parity class lands in T1..T9, which forces an
     odd (hence nonzero) x or y coefficient, so the stabilizer axis of
     the output state is not (0,0,+-1) and the state differs from |0>.
+    A block tuple outside the normal-form language raises ValueError.
     """
     if not nf.blocks:
         raise NoTGates("normal form has no T blocks")
     if len(nf.blocks) <= 2:
+        _check_chain(nf, table)
         return normal_form_matrix(nf, table) != ring.IDENTITY
     return classify(stab_of_normal_form(nf, table)) is not ParityClass.OTHER

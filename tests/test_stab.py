@@ -146,8 +146,11 @@ def test_fold_over_normal_form(table):
         for st, b, nxt in zip(trace, reversed(nf.blocks), trace[1:]):
             assert nxt == step_block(st, b)
         assert trace[-1] == stab_of_normal_form(nf, table)
+    # A bare T block after the leftmost is outside the language.
     for foreign in (NormalForm((Block.T,), table.order),
-                    NormalForm((Block.HT, 7), 0)):
+                    NormalForm((Block.HT, 7), 0),
+                    NormalForm((Block.HT, Block.T), 0),
+                    NormalForm((Block.T,) * 4, 0)):
         with pytest.raises(ValueError, match="not a normal form"):
             stab_trace(foreign, table)
 
@@ -199,6 +202,12 @@ def test_witness_basics(table):
     assert nonidentity_witness(NormalForm((Block.HT, Block.HT), 0), table)
     with pytest.raises(NoTGates):
         nonidentity_witness(NormalForm((), 0), table)
+    # T**4 = Z is not the identity, but its block tuple is no normal form,
+    # so neither branch certifies it.
+    for foreign in (NormalForm((Block.T,) * 4, 0),
+                    NormalForm((Block.HT, Block.T), 0)):
+        with pytest.raises(ValueError, match="not a normal form"):
+            nonidentity_witness(foreign, table)
     # One and two blocks take the matrix branch, three or more the fold;
     # both must agree with the exact matrix.
     rng = random.Random(67)
