@@ -309,10 +309,9 @@ def verify_remark_r():
     census = verify_uniqueness(3, table)
 
     rng = random.Random(20260825)
-    gates = {"R": ring.R, "P": ring.P, "T": ring.T}
     for _ in range(200):
         word = "".join(rng.choice("RPT") for _ in range(rng.randrange(0, 40)))
         nf = normalize(word, table, rules)
-        if normal_form_matrix(nf, table) != evaluate(word, gates):
+        if normal_form_matrix(nf, table) != evaluate(word, table.gates):
             return RemarkReport(table.order, True, census, False)
     return RemarkReport(table.order, True, census, census.ok)

@@ -49,7 +49,6 @@ class GroupTable:
         self.elements = elements
         self.words = words
         self.index = index
-        self.gen_step = gen_step
         self.mul = mul
         self.inv = inv
         self.t_mat = t_mat
@@ -177,9 +176,11 @@ def build_group(generators, limit=10000):
         coset_slots.append(matches[0] if len(matches) == 1 else None)
     coset_slots = tuple(coset_slots)
 
-    scalar_ids = tuple(i for i, (e00, e01, e10, e11)
-                       in enumerate(m.entries for m in elements)
-                       if not e01 and not e10 and e00 == e11)
+    # Scalars read off the flat key: both off-diagonal numerators zero and
+    # the diagonal numerators equal (over the key's common sqrt2**k).
+    keys = [m.scaled_key() for m in elements]
+    scalar_ids = tuple(i for i, key in enumerate(keys)
+                       if not any(key[5:13]) and key[1:5] == key[13:17])
 
     return GroupTable(gens, elements, words, index, gen_step, mul, inv, t,
                       ct_ids, coset_slots, syndrome_ids, syndrome_labels,

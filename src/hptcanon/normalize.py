@@ -49,18 +49,13 @@ def _default_rules():
 def _rules(caller, table, rules):
     # Slow path of the entry points' guard: no arguments mean the default
     # rules, rules whose .table (getattr: duck-typed rules too) is the
-    # given table are kept, and _resolve_rules refuses the rest by name.
+    # given table are kept, other RuleTables given alone are kept, and
+    # the rest is refused by name.
     if table is None and rules is None:
         return _default_rules()
     if table is not None and getattr(rules, "table", None) is table:
         return rules
-    return _resolve_rules(caller, table, rules)
-
-
-def _resolve_rules(caller, table, rules):
     if rules is None:
-        if table is None:
-            return _default_rules()
         raise TypeError(f"{caller}() got a table but no 'rules' argument; "
                         "pass rules=build_rules(table) with it")
     if not isinstance(rules, RuleTable):
@@ -99,53 +94,33 @@ def parse(text):
     return "".join(text.translate(_IGNORED).split())
 
 
-# evaluate's step code per gate matrix; any other gate is a generic product.
-_H = 3
-_GENERIC = 0
-_STEPS = {ring.T: 1, ring.P: 2, ring.H: _H}
-
-
-def _gate_steps(gates):
-    # Read afresh on every call, so a caller's later change to its gates
-    # mapping is always seen.  The ring's own T, P and H objects (which
-    # ring.GATES holds, and GroupTable.gates of tables built from them)
-    # are told apart by identity; only another matrix object is hashed.
-    T, P, H = ring.T, ring.P, ring.H
-    steps = {}
-    for ch, m in gates.items():
-        steps[ch] = (1 if m is T else 2 if m is P else _H if m is H
-                     else _STEPS.get(m, _GENERIC))
-    return steps
-
-
-# ring.GATES is read-only, so evaluate's default steps are found once.
-_DEFAULT_STEPS = _gate_steps(ring.GATES)
-
-
 def evaluate(circuit, gates=ring.GATES):
     """Exact matrix of a circuit: gate matrices multiplied in string
     order, leftmost gate leftmost factor.  Empty circuit is the identity.
 
     An independent word-level product (it never consults the group
     tables or the normalizer), run on the flat key of UMat2 held in 16
-    local numerators plus the sqrt2 exponent k.  Gates are recognised by
-    their matrix: T and P rotate the coefficients of column 1 by omega
-    and omega**2, H replaces the columns by their sum and difference with
-    k + 1, and any other gate is a generic flat product.
+    local numerators plus the sqrt2 exponent k.  Gates are dispatched by
+    identity: the ring's own T and P (which ring.GATES and every
+    GroupTable.gates hold) rotate the coefficients of column 1 by omega
+    and omega**2, the ring's own H replaces the columns by their sum and
+    difference with k + 1, and any other matrix, equal to one of them or
+    not, takes the exact generic flat product.  The mapping is read at
+    each gate, so a caller's later change to it is always seen.
     """
-    steps = _DEFAULT_STEPS if gates is ring.GATES else _gate_steps(gates)
+    T, H, P = ring.T, ring.H, ring.P
     k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0
     b3 = c3 = d3 = 0
     a0 = a3 = 1
     for ch in circuit:
         try:
-            step = steps[ch]
+            m = gates[ch]
         except KeyError:
             raise ValueError(f"gate {ch!r} not in this basis") from None
-        if step == 1:
+        if m is T:
             # T: column 1 times omega, (a, b, c, d) -> (-d, a, b, c).
             a1, b1, c1, d1, a3, b3, c3, d3 = -d1, a1, b1, c1, -d3, a3, b3, c3
-        elif step == _H:
+        elif m is H:
             # H: columns become their sum and difference over sqrt2.
             k += 1
             a0, b0, c0, d0, a1, b1, c1, d1 = (
@@ -163,14 +138,14 @@ def evaluate(circuit, gates=ring.GATES):
                 a2, b2, c2, d2 = (b2 - d2) >> 1, (a2 + c2) >> 1, (b2 + d2) >> 1, (c2 - a2) >> 1
                 a3, b3, c3, d3 = (b3 - d3) >> 1, (a3 + c3) >> 1, (b3 + d3) >> 1, (c3 - a3) >> 1
                 k -= 1
-        elif step == 2:
+        elif m is P:
             # P: column 1 times omega**2 = i.
             a1, b1, c1, d1, a3, b3, c3, d3 = -c1, -d1, a1, b1, -c3, -d3, a3, b3
         else:
             (k, a0, b0, c0, d0, a1, b1, c1, d1,
              a2, b2, c2, d2, a3, b3, c3, d3) = ring._mat_mul(
                 (k, a0, b0, c0, d0, a1, b1, c1, d1,
-                 a2, b2, c2, d2, a3, b3, c3, d3), gates[ch].scaled_key())
+                 a2, b2, c2, d2, a3, b3, c3, d3), m.scaled_key())
     return ring.UMat2._raw((k, a0, b0, c0, d0, a1, b1, c1, d1,
                             a2, b2, c2, d2, a3, b3, c3, d3))
 
@@ -240,9 +215,9 @@ def render(nf, table=None):
 
 def normal_form_matrix(nf, table=None):
     """Exact matrix of a normal form: evaluate on the blocks' word (their
-    labels joined, so each block runs through evaluate's gate steps),
-    times the Clifford tail's element matrix.  A form without blocks is
-    its tail's matrix."""
+    labels joined, so each block runs through evaluate's T, H and P
+    branches), times the Clifford tail's element matrix.  A form without
+    blocks is its tail's matrix."""
     if table is None:
         table = _default_rules().table
     _check_form(nf, table)

@@ -278,30 +278,18 @@ class UMat2:
                            a1, -d1, -c1, -b1, a3, -d3, -c3, -b3))
 
     def apply(self, state: StateVec) -> StateVec:
-        """self * state on the flat keys: the exponents add, each output
-        amplitude is a sum of two numerator products, and one joint sqrt2
-        reduction over both amplitudes follows (as in _mat_mul)."""
+        """self * state through _mat_mul: the state is column 0 of a
+        matrix whose column 1 is zero, and column 0 of the product is read
+        back.  Zero entries never block the joint sqrt2 reduction, so the
+        result is the state's canonical key."""
         try:
-            kx, xa, xb, xc, xd, ya, yb, yc, yd = state._key
+            kx, a0, b0, c0, d0, a1, b1, c1, d1 = state._key
         except (AttributeError, ValueError):
             raise TypeError("apply() argument must be a StateVec, "
                             f"not {type(state).__name__}") from None
-        (k, p0, q0, r0, s0, p1, q1, r1, s1,
-         p2, q2, r2, s2, p3, q3, r3, s3) = self._key
-        k += kx
-        e0 = p0*xa - q0*xd - r0*xc - s0*xb + p1*ya - q1*yd - r1*yc - s1*yb
-        f0 = p0*xb + q0*xa - r0*xd - s0*xc + p1*yb + q1*ya - r1*yd - s1*yc
-        g0 = p0*xc + q0*xb + r0*xa - s0*xd + p1*yc + q1*yb + r1*ya - s1*yd
-        h0 = p0*xd + q0*xc + r0*xb + s0*xa + p1*yd + q1*yc + r1*yb + s1*ya
-        e1 = p2*xa - q2*xd - r2*xc - s2*xb + p3*ya - q3*yd - r3*yc - s3*yb
-        f1 = p2*xb + q2*xa - r2*xd - s2*xc + p3*yb + q3*ya - r3*yd - s3*yc
-        g1 = p2*xc + q2*xb + r2*xa - s2*xd + p3*yc + q3*yb + r3*ya - s3*yd
-        h1 = p2*xd + q2*xc + r2*xb + s2*xa + p3*yd + q3*yc + r3*yb + s3*ya
-        while k and not ((e0 ^ g0) | (f0 ^ h0) | (e1 ^ g1) | (f1 ^ h1)) & 1:
-            e0, f0, g0, h0 = (f0 - h0) >> 1, (e0 + g0) >> 1, (f0 + h0) >> 1, (g0 - e0) >> 1
-            e1, f1, g1, h1 = (f1 - h1) >> 1, (e1 + g1) >> 1, (f1 + h1) >> 1, (g1 - e1) >> 1
-            k -= 1
-        return StateVec._raw((k, e0, f0, g0, h0, e1, f1, g1, h1))
+        key = _mat_mul(self._key, (kx, a0, b0, c0, d0, 0, 0, 0, 0,
+                                   a1, b1, c1, d1, 0, 0, 0, 0))
+        return StateVec._raw(key[:5] + key[9:13])
 
     def scaled_key(self) -> tuple[int, ...]:
         """Flat integer key: common denominator exponent, then the 16

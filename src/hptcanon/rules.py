@@ -29,9 +29,11 @@ class RuleTable:
     and P = T*T the second generator.
     """
 
-    def __init__(self, table, slots, w1_ids):
+    def __init__(self, table, w1_ids):
         self.table = table
-        self.slots = slots
+        # build_rules refuses a table with an element in no unique coset,
+        # so every slot here is 0, 1 or 2.
+        self.slots = table.coset_slots
         self.w1_ids = w1_ids
         mul = table.mul
         p_id = table.gen_ids[table.gen_names[1]]
@@ -48,7 +50,6 @@ class RuleTable:
 def build_rules(table):
     t = table.t_mat
     t_adj = t.adjoint()
-    slots = []
     w1_ids = []
     for w0, m in enumerate(table.elements):
         slot = table.coset_slots[w0]
@@ -62,9 +63,8 @@ def build_rules(table):
         except KeyError:
             raise RuleDerivationFailure(
                 f"conjugate of {table.words[w0]!r} leaves the group") from None
-        slots.append(slot)
         w1_ids.append(w1)
-    return RuleTable(table, tuple(slots), tuple(w1_ids))
+    return RuleTable(table, tuple(w1_ids))
 
 
 def _word_or_i(word):

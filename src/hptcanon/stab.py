@@ -145,8 +145,11 @@ def stab_of_normal_form(nf, table):
 def _numerators(st):
     """The 16 numerators over sqrt2**level of x*X + y*Y + z*Z, row-major.
     A coefficient has numerator (a, b, 0, -b) (sqrt2 = omega - omega**3)
-    and i*y has (0, yb, ya, yb), which gives the four entries."""
-    (xa, xb), (ya, yb), (za, zb), _ = st
+    and i*y has (0, yb, ya, yb), which gives the four entries.  A
+    negative level raises ValueError."""
+    (xa, xb), (ya, yb), (za, zb), level = st
+    if level < 0:
+        raise ValueError(f"stabilizer triple level must be >= 0, got {level}")
     return (za, zb, 0, -zb, xa, xb - yb, -ya, -xb - yb,
             xa, xb + yb, ya, -xb + yb, -za, -zb, 0, zb)
 

@@ -136,22 +136,21 @@ def test_coset_tag_unique(table):
 
 
 def test_scalar_subgroup(table):
-    scalars = table.scalar_ids
-    assert len(scalars) == 8
-    assert 0 in scalars
-    assert table.word_id("HPHPHP") in scalars
-    omega_powers = set()
-    for sid in scalars:
-        m = table.matrix(sid)
-        assert m.e01 == ring.ZERO and m.e10 == ring.ZERO
-        assert m.e00 == m.e11
-        omega_powers.add(m.e00)
-    # the eight scalars are exactly the eighth roots of unity
+    assert table.word_id("HPHPHP") in table.scalar_ids
+    # the eighth roots of unity
     expected, w = set(), ring.ONE
     for _ in range(8):
         expected.add(w)
         w = w * ring.OMEGA
-    assert omega_powers == expected
+    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    p_table = build_group([("P", ring.P)])
+    for tab, want in ((table, expected), (r_table, expected),
+                      (p_table, {ring.ONE})):
+        # The entry-wise definition, element by element.
+        scalars = tuple(i for i, m in enumerate(tab.elements)
+                        if not m.e01 and not m.e10 and m.e00 == m.e11)
+        assert tab.scalar_ids == scalars
+        assert {tab.matrix(sid).e00 for sid in scalars} == want
 
 
 def test_element_id_rejects_non_members(table):

@@ -89,7 +89,8 @@ def test_evaluate_rejects_unknown_gate():
 
 def test_evaluate_reads_the_gates_mapping_at_each_call(table):
     # A caller's later change to its own mapping is seen, and a matrix
-    # equal to a ring gate but not the same object takes the same step.
+    # equal to a ring gate but not the same object takes the generic
+    # product, with the same result.
     gates = {"H": ring.H, "P": ring.P, "T": ring.T}
     assert evaluate("THT", gates) == evaluate("THT")
     gates["T"] = ring.P
@@ -103,6 +104,19 @@ def test_evaluate_reads_the_gates_mapping_at_each_call(table):
     for shared in (ring.GATES, table.gates):
         with pytest.raises(TypeError):
             shared["T"] = ring.P
+
+
+def test_evaluate_takes_the_generic_product_for_equal_gate_objects():
+    # Fresh matrices equal to H, P and T are not the ring's objects, so
+    # every gate takes ring._mat_mul instead of a T, H or P branch.
+    fresh = {ch: ring.UMat2(*m.entries) for ch, m in ring.GATES.items()}
+    assert fresh == dict(ring.GATES)
+    assert not any(fresh[ch] is m for ch, m in ring.GATES.items())
+    rng = random.Random(67)
+    words = ["".join(w) for n in range(7) for w in product("HPT", repeat=n)]
+    words += ["".join(rng.choice("HPT") for _ in range(500)) for _ in range(3)]
+    for w in words:
+        assert evaluate(w, fresh) == evaluate(w), w
 
 
 def _oracle_key(word, gates):
@@ -228,12 +242,16 @@ def test_rules_alone_and_no_arguments_skip_the_resolver(monkeypatch,
             invert("HTPHT", table, rules)]
 
     def resolver_called(*args):
-        raise AssertionError(f"_resolve_rules{args[:1]} was called")
+        raise AssertionError(f"_rules{args[:1]} was called")
 
-    monkeypatch.setattr(normalize_mod, "_resolve_rules", resolver_called)
-    assert [normalize("HTPHT", rules=rules), t_count("HTPHT", rules=rules),
-            equivalent("HTT", "HP", rules=rules),
-            invert("HTPHT", rules=rules)] == want
+    # Rules alone take the entry points' inline guard, never _rules.
+    with monkeypatch.context() as patch:
+        patch.setattr(normalize_mod, "_rules", resolver_called)
+        assert [normalize("HTPHT", rules=rules),
+                t_count("HTPHT", rules=rules),
+                equivalent("HTT", "HP", rules=rules),
+                invert("HTPHT", rules=rules)] == want
+    # No arguments: _rules hands out the cached default rules.
     assert [normalize("HTPHT"), t_count("HTPHT"), equivalent("HTT", "HP"),
             invert("HTPHT")] == want
 

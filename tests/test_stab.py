@@ -165,6 +165,8 @@ def test_verify_stabilizes():
     for bad in ((1, 0), ring.H, None):
         with pytest.raises(TypeError, match="must be a StateVec"):
             verify_stabilizes(z_axis, bad)
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        verify_stabilizes(z_axis._replace(level=-1), ring.KET0)
 
 
 def test_flat_check_matches_stab_matrix_on_chains(table):
@@ -195,6 +197,8 @@ def test_stab_matrix_is_hermitian_combination():
     m = stab_matrix(st)
     assert m.e00 == -m.e11
     assert m.e01 == m.e10.conj()
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        stab_matrix(st._replace(level=-1))
 
 
 def test_witness_basics(table):
