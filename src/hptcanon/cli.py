@@ -7,12 +7,11 @@ no timestamps and no iteration over unordered containers.
 """
 
 import argparse
-import json
 import os
 import sys
 
-# census, stab and verify are imported inside the subcommands that use
-# them, so that the other subcommands do not pay for their import.
+# census, stab, verify and json are imported inside the subcommands that
+# use them, so that the other subcommands do not pay for their import.
 from . import rules as rules_mod
 from .group import coset_of
 from .normalize import (ParseError, _default_rules, equivalent, evaluate,
@@ -117,6 +116,7 @@ def _cmd_tcount(args):
 
 
 def _cmd_matrix(args):
+    import json
     mat = evaluate(parse(args.circuit))
     print(json.dumps(mat.to_json_dict(), separators=(",", ":")))
     return 0
@@ -148,6 +148,7 @@ def _cmd_count(args):
 
 
 def _cmd_enumerate(args):
+    import json
     from . import census
     table = _default_rules().table
     write = sys.stdout.write
@@ -166,6 +167,7 @@ def _cmd_tables(args):
     rules = _default_rules()
     table = rules.table
     if args.dump_group:
+        import json
         for gid in range(table.order):
             word = table.words[gid] or "I"
             mat = json.dumps(table.matrix(gid).to_json_dict(),

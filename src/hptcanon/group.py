@@ -3,15 +3,22 @@
 Builds the 192-element group generated by H and P by breadth-first
 closure, assigning every element a canonical word: the shortest word in
 the generators, ties broken lexicographically in the given generator
-order.  The table also records the subgroup of elements that commute
-with conjugation by T, the resulting three-coset decomposition, and the
-scalar (global phase) subgroup.
+order.  The table also records conjugation by T, the subgroup C_T of
+elements whose T-conjugate stays in the group, the resulting three-coset
+decomposition, and the scalar (global phase) subgroup.
+
+The other tables are derived from the closure's parent links: a column
+of the multiplication table is its parent's column looked up in one
+generator step table, an inverse is where a row hits the identity, and
+an element's T-conjugate is its parent's conjugate times its last
+generator's, one exact product per element.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import ring
@@ -39,10 +46,13 @@ class GroupTable:
 
     Id 0 is the identity (canonical word "").  `mul[i][j]` is the id of
     matrix(i) * matrix(j), matching left-to-right circuit composition.
+    `t_conj[g]` is the id of T * matrix(g) * T_adj, or None when that
+    matrix is not an element; `ct_ids` is the set of g where it is not
+    None.
     """
 
     def __init__(self, gens, elements, words, index, gen_step, mul,
-                 inv, t_mat, ct_ids, coset_slots, syndrome_ids,
+                 inv, t_mat, t_conj, ct_ids, coset_slots, syndrome_ids,
                  syndrome_labels, scalar_ids):
         gen_names = tuple(name for name, _ in gens)
         self.gen_names = gen_names
@@ -52,6 +62,7 @@ class GroupTable:
         self.mul = mul
         self.inv = inv
         self.t_mat = t_mat
+        self.t_conj = t_conj
         self.ct_ids = ct_ids
         self.coset_slots = coset_slots
         self.syndrome_ids = syndrome_ids
@@ -139,26 +150,29 @@ def build_group(generators, limit=10000):
                 queue.append(j)
             gen_step[pos].append(j)
 
-    # Full multiplication table, filled left to right along each row:
-    # matrix(i) * matrix(j) = (matrix(i) * matrix(parent[j])) * generator,
-    # and parent[j] < j, so entry j is one step-table lookup from an entry
-    # already filled.  This costs table lookups only.
+    # Multiplication table, one column at a time: matrix(i) * matrix(j) =
+    # (matrix(i) * matrix(parent[j])) * generator last[j], and
+    # parent[j] < j, so column j is column parent[j] looked up in one
+    # step table.  This costs table lookups only.
     n = len(elements)
-    steps = [(j, gen_step[last[j]], parent[j]) for j in range(1, n)]
-    mul = []
-    for i in range(n):
-        row = [i] * n
-        for j, step, p in steps:
-            row[j] = step[row[p]]
-        mul.append(row)
+    columns = [tuple(range(n))]
+    for j in range(1, n):
+        columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))
+    mul = [list(row) for row in zip(*columns)]
 
-    # Unitary, so inverse = adjoint; a finite closure contains it.
-    inv = [index[m.adjoint()] for m in elements]
+    # Each row is a permutation, so the inverse is where it hits the identity.
+    inv = [row.index(0) for row in mul]
 
+    # T-conjugation is multiplicative, so T * matrix(j) * T_adj is the
+    # parent's conjugate times the generator's: one product per element.
     t = ring.T
     t_adj = t.adjoint()
-    ct_ids = frozenset(i for i, m in enumerate(elements)
-                       if (t * m) * t_adj in index)
+    gen_conj = [(t * mat) * t_adj for _, mat in gens]
+    conj = [ring.IDENTITY]
+    for j in range(1, n):
+        conj.append(conj[parent[j]] * gen_conj[last[j]])
+    t_conj = tuple(map(index.get, conj))
+    ct_ids = frozenset(i for i, c in enumerate(t_conj) if c is not None)
 
     # Syndromes I, g0, g1*g0; with a single generator the second syndrome
     # degenerates to g0*g0 so the triple stays well-formed (the coset
@@ -183,8 +197,8 @@ def build_group(generators, limit=10000):
                        if not any(key[5:13]) and key[1:5] == key[13:17])
 
     return GroupTable(gens, elements, words, index, gen_step, mul, inv, t,
-                      ct_ids, coset_slots, syndrome_ids, syndrome_labels,
-                      scalar_ids)
+                      t_conj, ct_ids, coset_slots, syndrome_ids,
+                      syndrome_labels, scalar_ids)
 
 
 def build_standard_table():

@@ -16,10 +16,9 @@ so applying a matrix to a state builds no per-entry objects either.
 
 from __future__ import annotations
 
-import cmath
 from types import MappingProxyType
 
-_OMEGA_C = cmath.exp(1j * cmath.pi / 4)
+_OMEGA_C = (1 + 1j) * 0.5 ** 0.5
 
 
 def _reduced(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int, int]:

@@ -2,13 +2,12 @@
 
 For every group element W0 there is exactly one syndrome S in {I, H, PH}
 and one element W1 with f(W0)*T = f(S)*T*f(W1); S is W0's coset tag and
-W1 = T_adj * S_adj * W0 * T.  The normalizer consumes these as pure
-table lookups.
+W1 = T_adj * S_adj * W0 * T.  S_adj * W0 lies in C_T, so W1 is read off
+the inverse of the group table's T-conjugation, with no matrix product.
+The normalizer consumes these as pure table lookups.
 """
 
 from __future__ import annotations
-
-from importlib import resources
 
 from .group import CosetTag
 
@@ -48,21 +47,19 @@ class RuleTable:
 
 
 def build_rules(table):
-    t = table.t_mat
-    t_adj = t.adjoint()
+    # untwist[x] is the id of T_adj * matrix(x) * T; x is missing when
+    # that matrix is not an element.
+    untwist = {c: g for g, c in enumerate(table.t_conj) if c is not None}
+    mul, inv, syndrome_ids = table.mul, table.inv, table.syndrome_ids
     w1_ids = []
-    for w0, m in enumerate(table.elements):
-        slot = table.coset_slots[w0]
+    for w0, slot in enumerate(table.coset_slots):
         if slot is None:
             raise RuleDerivationFailure(
                 f"element {table.words[w0]!r} is in no unique syndrome coset")
-        syn_adj = table.elements[table.syndrome_ids[slot]].adjoint()
-        w1_mat = ((t_adj * syn_adj) * m) * t
-        try:
-            w1 = table.index[w1_mat]
-        except KeyError:
+        w1 = untwist.get(mul[inv[syndrome_ids[slot]]][w0])
+        if w1 is None:
             raise RuleDerivationFailure(
-                f"conjugate of {table.words[w0]!r} leaves the group") from None
+                f"conjugate of {table.words[w0]!r} leaves the group")
         w1_ids.append(w1)
     return RuleTable(table, tuple(w1_ids))
 
@@ -107,6 +104,7 @@ def parse_fixture(text):
 
 
 def load_bundled_fixture():
+    from importlib import resources
     return resources.files("hptcanon.data").joinpath(
         "appendix_rules.txt").read_text()
 

@@ -93,14 +93,16 @@ def test_count_oracle_cap(capsys):
 
 def test_import_leaves_census_stab_and_verify_unloaded():
     # Subcommands import these when they need them, so a cold start of
-    # the others does not pay for them.
-    heavy = ("hptcanon.census", "hptcanon.stab", "hptcanon.verify")
+    # the others does not pay for them.  The child runs with -S, so no
+    # site hook can load any of them first.
+    heavy = ("hptcanon.census", "hptcanon.stab", "hptcanon.verify",
+             "json", "importlib.resources", "cmath")
     code = (f"import sys, hptcanon.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 

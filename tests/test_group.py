@@ -108,6 +108,17 @@ def test_conjugation_subgroup(table):
         assert table.element_id(m) in ct
 
 
+@pytest.mark.parametrize("gens", [(("H", ring.H), ("P", ring.P)),
+                                  (("R", ring.R), ("P", ring.P))],
+                         ids=["HP", "RP"])
+def test_t_conj_matches_direct_conjugation(gens):
+    t = build_group(gens)
+    t_mat, t_adj = t.t_mat, t.t_mat.adjoint()
+    for g, m in enumerate(t.elements):
+        assert t.t_conj[g] == t.index.get((t_mat * m) * t_adj)
+    assert t.ct_ids == subgroup_ct(t)
+
+
 def test_conjugation_subgroup_generating_set(table):
     gens = [table.word_id(w) for w in ("P", "HPPH", "HPHPHP")]
     assert subgroup_closure(table, gens) == table.ct_ids

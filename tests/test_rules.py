@@ -1,9 +1,11 @@
 """Generated rewrite rules W0*T = S*T*W1 and the bundled fixture."""
 
+import copy
+
 import pytest
 
 from hptcanon import ring
-from hptcanon.group import CosetTag
+from hptcanon.group import CosetTag, build_group
 from hptcanon.normalize import evaluate
 from hptcanon.rules import (RuleDerivationFailure, build_rules, check_fixture,
                             emit_rules, load_bundled_fixture, parse_fixture)
@@ -15,7 +17,9 @@ def test_rule_count_and_sections(rules, table):
         assert sum(1 for s in rules.slots if s == slot) == 64
 
 
-def test_every_rule_holds_exactly(rules, table):
+def _assert_every_rule_holds(rules):
+    # W0*T == S*T*W1 by exact products, independent of how W1 was found.
+    table = rules.table
     t = table.t_mat
     for w0 in range(table.order):
         tag, w1 = rules.rule_for(w0)
@@ -23,6 +27,10 @@ def test_every_rule_holds_exactly(rules, table):
         lhs = table.matrix(w0) * t
         rhs = (syn * t) * table.matrix(w1)
         assert lhs == rhs
+
+
+def test_every_rule_holds_exactly(rules):
+    _assert_every_rule_holds(rules)
 
 
 def test_specific_rules(rules, table):
@@ -92,7 +100,23 @@ def test_fixture_check_catches_corruption(rules):
 def test_rules_derive_for_alternate_two_generator_basis():
     # The same construction goes through with the other Hadamard-like
     # generator; derivation fails only if some conjugate leaves the group.
-    from hptcanon.group import build_group
-    t = build_group([("R", ring.R), ("P", ring.P)])
-    r_rules = build_rules(t)
-    assert len(r_rules) == t.order
+    r_rules = build_rules(build_group([("R", ring.R), ("P", ring.P)]))
+    assert len(r_rules) == 192
+    _assert_every_rule_holds(r_rules)
+
+
+def test_single_generator_rules_fail_and_name_the_element():
+    # <P> is abelian, so every element lies in C_T, and hence in the
+    # coset of more than one syndrome.
+    with pytest.raises(RuleDerivationFailure,
+                       match="^element '' is in no unique syndrome coset$"):
+        build_rules(build_group([("P", ring.P)]))
+
+
+def test_missing_conjugate_fails_and_names_the_element(table):
+    # Without the identity's T-conjugate no W1 is found for W0 = I.
+    broken = copy.copy(table)
+    broken.t_conj = (None,) + table.t_conj[1:]
+    with pytest.raises(RuleDerivationFailure,
+                       match="^conjugate of '' leaves the group$"):
+        build_rules(broken)
