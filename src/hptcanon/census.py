@@ -5,25 +5,17 @@ closed forms |M_n| = order*(3*2**n - 2) and |M_=n| = 3*order*2**(n-1)
 are checked against two independent routes: enumerating normal forms
 and evaluating them exactly, and a brute-force closure oracle that
 multiplies matrices without ever consulting the normalizer or rules.
-The same pipeline reruns with the alternate generator R (the pi/4
-y-rotation) in place of H.
+The enumeration, the oracle and verify_uniqueness take the group table
+they count over, so verify.check_remark_r reruns them with the alternate
+generator R (the pi/4 y-rotation) in place of H.
 """
 
-import random
 from functools import partial
 from itertools import chain, groupby, product
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import ring
-from .group import build_group
-from .normalize import Block, NormalForm, evaluate, normal_form_matrix, normalize
-from .rules import RuleDerivationFailure, build_rules
-
-
-class LimitExceeded(Exception):
-    """Requested oracle depth above the configured cap (the sets grow as
-    3*order*2**(n-1))."""
+from .normalize import Block, NormalForm, normal_form_matrix
 
 
 class VerificationFailure(Exception):
@@ -32,19 +24,9 @@ class VerificationFailure(Exception):
 
 
 class CensusReport(NamedTuple):
-    n: int
     normal_form_count: int
     distinct_matrix_count: int
     oracle_count: int | None
-    layer_counts: tuple
-    ok: bool
-
-
-class RemarkReport(NamedTuple):
-    group_order: int
-    decomposition_ok: bool
-    census: CensusReport | None
-    ok: bool
 
 
 def _check_n(n):
@@ -66,27 +48,20 @@ def enumerate_normal_forms(n, table=None):
     Clifford tail by element id.  A negative n raises ValueError here,
     not at the first item.
 
-    The result is a lazy iterator; see _normal_forms for how the forms
-    are built."""
-    _check_n(n)
-    return _normal_forms(n, table.order if table is not None else 192)
-
-
-def _normal_forms(n, order):
-    """The forms of enumerate_normal_forms, built by C iterators.
-
-    Block tuples come one at a time from a chain of per-layer products
-    (the empty tuple, then every length 1..n).  Each tuple is paired
-    with every tail by product((blocks,), tails), and each pair becomes
-    a NormalForm through tuple.__new__, which is what NormalForm._make
+    The result is a lazy iterator built by C iterators.  Block tuples
+    come one at a time from a chain of per-layer products (the empty
+    tuple, then every length 1..n).  Each tuple is paired with every
+    tail by product((blocks,), tails), and each pair becomes a
+    NormalForm through tuple.__new__, which is what NormalForm._make
     does without a Python frame per form.  product copies its inputs
     into tuples, so the block tuples are never one of its inputs: a
     layer is never materialised and the first form comes at once for
     any n.
     """
+    _check_n(n)
     first = (Block.T, Block.HT, Block.PHT)
     rest = (Block.HT, Block.PHT)
-    tails = range(order)
+    tails = range(table.order if table is not None else 192)
     block_tuples = chain(((),), chain.from_iterable(
         product(first, *((rest,) * (k - 1))) for k in range(1, n + 1)))
     return map(partial(tuple.__new__, NormalForm), chain.from_iterable(
@@ -196,7 +171,7 @@ def _orbit_reps(keys, powers):
     return reps
 
 
-def brute_force_mn(n, table, max_n=4):
+def brute_force_mn(n, table):
     """Closure oracle for M_n on flat matrix keys; never consults the
     normalizer, the rules or the ring products.
 
@@ -216,8 +191,6 @@ def brute_force_mn(n, table, max_n=4):
     Returns (set of flat keys, per-layer new-matrix counts).
     """
     _check_n(n)
-    if n > max_n:
-        raise LimitExceeded(f"oracle capped at n={max_n}, requested {n}")
     cliff_keys = [m.scaled_key() for m in table.elements]
     t_key = table.t_mat.scaled_key()
 
@@ -277,7 +250,7 @@ def verify_uniqueness(n, table, with_oracle=True):
 
     oracle_count = None
     if with_oracle:
-        okeys, _ = brute_force_mn(n, table, max_n=n)
+        okeys, _ = brute_force_mn(n, table)
         oracle_count = len(okeys)
         if set(seen) != okeys:
             extra = next(iter(set(seen) - okeys), None)
@@ -285,33 +258,5 @@ def verify_uniqueness(n, table, with_oracle=True):
             raise VerificationFailure(
                 f"enumeration/oracle sets differ: enumerated-only key "
                 f"{extra}, oracle-only key {missing}")
-    return CensusReport(n=n, normal_form_count=total,
-                        distinct_matrix_count=len(seen),
-                        oracle_count=oracle_count,
-                        layer_counts=tuple(layer_counts), ok=True)
+    return CensusReport(total, len(seen), oracle_count)
 
-
-def verify_remark_r():
-    """Rerun the whole pipeline with generator R in place of H.
-
-    Builds the closure of {R, P} (order recorded, not asserted), derives
-    the rewrite rules for the {I, R, PR} syndromes (the coset
-    decomposition analog; failure is reported, not raised), checks
-    uniqueness with the oracle at n = 3, and round-trips the normalizer
-    on 200 seeded random {R,P,T} words.
-    """
-    table = build_group([("R", ring.R), ("P", ring.P)])
-    try:
-        rules = build_rules(table)
-    except RuleDerivationFailure:
-        return RemarkReport(table.order, False, None, False)
-
-    census = verify_uniqueness(3, table)
-
-    rng = random.Random(20260825)
-    for _ in range(200):
-        word = "".join(rng.choice("RPT") for _ in range(rng.randrange(0, 40)))
-        nf = normalize(word, table, rules)
-        if normal_form_matrix(nf, table) != evaluate(word, table.gates):
-            return RemarkReport(table.order, True, census, False)
-    return RemarkReport(table.order, True, census, census.ok)

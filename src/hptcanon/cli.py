@@ -13,7 +13,6 @@ import sys
 # census, stab, verify and json are imported inside the subcommands that
 # use them, so that the other subcommands do not pay for their import.
 from . import rules as rules_mod
-from .group import coset_of
 from .normalize import (ParseError, _default_rules, equivalent, evaluate,
                         normal_form_matrix, normalize, parse, render, t_count)
 
@@ -133,17 +132,23 @@ def _cmd_stab(args):
 
 
 def _cmd_count(args):
+    # The oracle's sets grow as 3*order*2**(n-1), so n is capped at 4.
+    if args.oracle and args.n > 4:
+        print(f"error: oracle capped at n=4, requested {args.n}",
+              file=sys.stderr)
+        return 1
     from . import census
     if args.oracle:
-        try:
-            matrices, _ = census.brute_force_mn(args.n,
-                                                _default_rules().table)
-        except census.LimitExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(len(matrices))
+        matrices, _ = census.brute_force_mn(args.n, _default_rules().table)
+        count = len(matrices)
     else:
-        print(census.count_closed_form(args.n, exact=args.exact))
+        count = census.count_closed_form(args.n, exact=args.exact)
+    try:
+        print(count)
+    except ValueError:
+        # CPython >= 3.11 caps int -> str at 4300 digits; Decimal does not.
+        from decimal import Decimal
+        print(Decimal(count))
     return 0
 
 
@@ -170,19 +175,25 @@ def _cmd_tables(args):
         import json
         for gid in range(table.order):
             word = table.words[gid] or "I"
-            mat = json.dumps(table.matrix(gid).to_json_dict(),
+            tag = "S_" + table.syndrome_labels[table.coset_slots[gid]]
+            mat = json.dumps(table.elements[gid].to_json_dict(),
                              separators=(",", ":"))
-            print(f"{gid}\t{word}\t{coset_of(table, gid).name}\t{mat}")
+            print(f"{gid}\t{word}\t{tag}\t{mat}")
         return 0
     if args.emit_rules:
         sys.stdout.write(rules_mod.emit_rules(rules))
         return 0
-    if args.check_appendix:
-        with open(args.check_appendix, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = rules_mod.load_bundled_fixture()
-    rows = rules_mod.parse_fixture(text)
+    try:
+        if args.check_appendix:
+            with open(args.check_appendix, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = rules_mod.load_bundled_fixture()
+        rows = rules_mod.parse_fixture(text)
+    except ValueError as exc:
+        # A malformed line, or a file that is not UTF-8.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     problems = rules_mod.check_fixture(rules, rows)
     if problems:
         print(problems[0], file=sys.stderr)

@@ -5,7 +5,9 @@ closure, assigning every element a canonical word: the shortest word in
 the generators, ties broken lexicographically in the given generator
 order.  The table also records conjugation by T, the subgroup C_T of
 elements whose T-conjugate stays in the group, the resulting three-coset
-decomposition, and the scalar (global phase) subgroup.
+decomposition, and the scalar (global phase) subgroup.  An element g's
+coset tag is its `coset_slots` entry: the index of the S with S_adj * g
+in C_T in `syndrome_ids` and `syndrome_labels`.
 
 The other tables are derived from the closure's parent links: a column
 of the multiplication table is its parent's column looked up in one
@@ -17,7 +19,6 @@ generator's, one exact product per element.
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -31,22 +32,12 @@ class ClosureExceedsLimit(Exception):
         self.limit = limit
 
 
-class CosetTag(Enum):
-    """Which syndrome coset an element falls in: S * C_T with S drawn from
-    {I, g0, g1*g0} for generators (g0, g1).  For the standard basis the
-    syndromes are I, H and PH."""
-
-    S_I = 0
-    S_H = 1
-    S_PH = 2
-
-
 class GroupTable:
     """Immutable closure table; elements are addressed by integer id.
 
     Id 0 is the identity (canonical word "").  `mul[i][j]` is the id of
-    matrix(i) * matrix(j), matching left-to-right circuit composition.
-    `t_conj[g]` is the id of T * matrix(g) * T_adj, or None when that
+    elements[i] * elements[j], matching left-to-right circuit composition.
+    `t_conj[g]` is the id of T * elements[g] * T_adj, or None when that
     matrix is not an element; `ct_ids` is the set of g where it is not
     None.
     """
@@ -69,7 +60,7 @@ class GroupTable:
         self.syndrome_labels = syndrome_labels
         self.scalar_ids = scalar_ids
         self.identity_id = 0
-        # letter_step[name][i] is the id of matrix(i) * generator `name`.
+        # letter_step[name][i] is the id of elements[i] * generator `name`.
         self.letter_step = dict(zip(gen_names, gen_step))
         self.gen_ids = {name: row[0] for name, row in self.letter_step.items()}
         # Gate letter -> matrix for evaluate: the generator matrices as
@@ -83,9 +74,6 @@ class GroupTable:
     @property
     def order(self):
         return len(self.elements)
-
-    def matrix(self, g):
-        return self.elements[g]
 
     def element_id(self, mat):
         try:
@@ -150,8 +138,8 @@ def build_group(generators, limit=10000):
                 queue.append(j)
             gen_step[pos].append(j)
 
-    # Multiplication table, one column at a time: matrix(i) * matrix(j) =
-    # (matrix(i) * matrix(parent[j])) * generator last[j], and
+    # Multiplication table, one column at a time: elements[i] * elements[j]
+    # = (elements[i] * elements[parent[j]]) * generator last[j], and
     # parent[j] < j, so column j is column parent[j] looked up in one
     # step table.  This costs table lookups only.
     n = len(elements)
@@ -163,7 +151,7 @@ def build_group(generators, limit=10000):
     # Each row is a permutation, so the inverse is where it hits the identity.
     inv = [row.index(0) for row in mul]
 
-    # T-conjugation is multiplicative, so T * matrix(j) * T_adj is the
+    # T-conjugation is multiplicative, so T * elements[j] * T_adj is the
     # parent's conjugate times the generator's: one product per element.
     t = ring.T
     t_adj = t.adjoint()
@@ -216,14 +204,6 @@ def subgroup_ct(table):
     t_adj = t.adjoint()
     return frozenset(i for i, m in enumerate(table.elements)
                      if (t * m) * t_adj in table.index)
-
-
-def coset_of(table, g):
-    """The unique tag S with S**-1 * g in C_T (three-coset decomposition)."""
-    slot = table.coset_slots[g]
-    if slot is None:
-        raise ValueError(f"element {g} has no unique syndrome coset")
-    return CosetTag(slot)
 
 
 def subgroup_closure(table, ids):

@@ -1,15 +1,14 @@
 """Rewrite rules W0*T = S*T*W1 for pushing T gates left through Cliffords.
 
 For every group element W0 there is exactly one syndrome S in {I, H, PH}
-and one element W1 with f(W0)*T = f(S)*T*f(W1); S is W0's coset tag and
-W1 = T_adj * S_adj * W0 * T.  S_adj * W0 lies in C_T, so W1 is read off
-the inverse of the group table's T-conjugation, with no matrix product.
-The normalizer consumes these as pure table lookups.
+and one element W1 with f(W0)*T = f(S)*T*f(W1); S is the syndrome in
+W0's slot of the table's `coset_slots`, and W1 = T_adj * S_adj * W0 * T.
+S_adj * W0 lies in C_T, so W1 is read off the inverse of the group
+table's T-conjugation, with no matrix product.  The normalizer consumes
+these as pure table lookups.
 """
 
 from __future__ import annotations
-
-from .group import CosetTag
 
 
 class RuleDerivationFailure(Exception):
@@ -38,16 +37,12 @@ class RuleTable:
         p_id = table.gen_ids[table.gen_names[1]]
         self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)
 
-    def rule_for(self, w0):
-        """(CosetTag, W1 id) with f(W0)*T = f(S)*T*f(W1)."""
-        return CosetTag(self.slots[w0]), self.w1_ids[w0]
-
     def __len__(self):
         return len(self.slots)
 
 
 def build_rules(table):
-    # untwist[x] is the id of T_adj * matrix(x) * T; x is missing when
+    # untwist[x] is the id of T_adj * elements[x] * T; x is missing when
     # that matrix is not an element.
     untwist = {c: g for g, c in enumerate(table.t_conj) if c is not None}
     mul, inv, syndrome_ids = table.mul, table.inv, table.syndrome_ids

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from hptcanon import ring, stab, verify
+from hptcanon import ring, rules as rules_mod, stab, verify
 from hptcanon.normalize import Block
 
 
@@ -128,3 +128,28 @@ def test_criterion_10_hp_cubed_phase(accept):
 def test_criterion_11_alternate_basis(accept):
     accept(11, {"remark-r-basis": "|<R,P>|=192 recorded, decomposition=True, "
                                   "n=3 census 4224==4224"})
+
+
+def test_alternate_basis_fails_without_a_coset_decomposition(monkeypatch):
+    def no_rules(table):
+        raise rules_mod.RuleDerivationFailure("no coset decomposition")
+    monkeypatch.setattr(rules_mod, "build_rules", no_rules)
+    res = verify.check_remark_r({})
+    assert (res.ok, res.detail) == (
+        False, "|<R,P>|=192 recorded, decomposition=False")
+
+
+def test_alternate_basis_fails_on_a_wrong_round_trip(monkeypatch):
+    # The fifth word's normal form gets the wrong Clifford tail.
+    calls = []
+    normalize = verify.normalize
+
+    def wrong(word, table, rules):
+        nf = normalize(word, table, rules)
+        calls.append(word)
+        return nf._replace(cliff=nf.cliff ^ 1) if len(calls) == 5 else nf
+    monkeypatch.setattr(verify, "normalize", wrong)
+    res = verify.check_remark_r({})
+    assert (res.ok, res.detail) == (
+        False, "|<R,P>|=192 recorded, decomposition=True, "
+               "n=3 census 4224==4224")

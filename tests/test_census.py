@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from hptcanon import census, ring, verify
-from hptcanon.census import (LimitExceeded, brute_force_mn, count_closed_form,
+from hptcanon.census import (brute_force_mn, count_closed_form,
                              enumerate_normal_forms, verify_uniqueness)
 from hptcanon.group import build_group
 from hptcanon.normalize import Block, NormalForm, normal_form_matrix
@@ -52,15 +52,14 @@ def test_enumeration_layers_and_shape(table):
     assert layer == {0: 192, 1: 576, 2: 1152, 3: 2304}
 
 
-def test_enumeration_equals_nested_loop_reference(table):
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
+def test_enumeration_equals_nested_loop_reference(table, r_rules):
     # Block tuples layer by layer, each extended by its last block.
     tuples = [()]
     layer = [(b,) for b in (Block.T, Block.HT, Block.PHT)]
     for _ in range(5):
         tuples += layer
         layer = [t + (b,) for t in layer for b in (Block.HT, Block.PHT)]
-    for tab in (table, r_table):
+    for tab in (table, r_rules.table):
         want = [NormalForm(blocks, cliff)
                 for blocks in tuples for cliff in range(tab.order)]
         for n in range(6):
@@ -144,7 +143,7 @@ def test_enumeration_order_is_deterministic_and_monotone(table):
 def _naive_closure(n, table):
     # Definitional oracle: plain matrix closure with no layering tricks,
     # no scalar batching, and no dedupe beyond a set of canonical keys.
-    cliffords = [table.matrix(g) for g in range(table.order)]
+    cliffords = table.elements
     current = {m.scaled_key(): m for m in cliffords}
     for _ in range(n):
         nxt = dict(current)
@@ -157,9 +156,8 @@ def _naive_closure(n, table):
     return set(current)
 
 
-def test_oracle_matches_naive_closure_small(table):
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
-    for tab in (table, r_table):
+def test_oracle_matches_naive_closure_small(table, r_rules):
+    for tab in (table, r_rules.table):
         for n in range(0, 3):
             fast, _ = brute_force_mn(n, tab)
             assert fast == _naive_closure(n, tab)
@@ -234,9 +232,8 @@ def test_exact_layers_closed_under_inverse(oracle_runs):
 
 
 def test_oracle_limit(table):
-    with pytest.raises(LimitExceeded):
-        brute_force_mn(5, table)
-    big, _ = brute_force_mn(5, table, max_n=5)
+    # The library sets no depth limit; the CLI caps `count --oracle`.
+    big, _ = brute_force_mn(5, table)
     assert len(big) == count_closed_form(5)
 
 
@@ -254,15 +251,8 @@ def test_negative_n_is_rejected(table):
 
 def test_verify_uniqueness_with_oracle(table):
     for n, size in enumerate([192, 768, 1920, 4224]):
-        report = verify_uniqueness(n, table)
-        assert report.ok
-        assert report.normal_form_count == size
-        assert report.distinct_matrix_count == size
-        assert report.oracle_count == size
-    report = verify_uniqueness(2, table, with_oracle=False)
-    assert report.ok
-    assert report.normal_form_count == report.distinct_matrix_count == 1920
-    assert report.oracle_count is None
+        assert verify_uniqueness(n, table) == (size, size, size)
+    assert verify_uniqueness(2, table, with_oracle=False) == (1920, 1920, None)
 
 
 def test_enumerated_matrices_equal_oracle_set(table):

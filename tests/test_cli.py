@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hptcanon import cli, verify
+from hptcanon.census import count_closed_form
 
 
 def run(capsys, *argv):
@@ -85,10 +86,32 @@ def test_count(capsys):
 
 
 def test_count_oracle_cap(capsys):
-    code, out, err = run(capsys, "count", "9", "--oracle")
-    assert code == 1
-    assert out == ""
-    assert "capped" in err
+    for n in (5, 9):
+        assert run(capsys, "count", str(n), "--oracle") == (
+            1, "", f"error: oracle capped at n=4, requested {n}\n")
+
+
+def _parse_decimal(text):
+    # int(text) is capped at 4300 digits on CPython >= 3.11; chunks are not.
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_prints_every_digit_for_large_n(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    for argv in (["14276"], ["20000", "--exact"], ["20000"]):
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, err) == (0, "")
+        digits = out.removesuffix("\n")
+        assert digits.isdigit() and out.endswith("\n")
+        assert _parse_decimal(digits) == count_closed_form(
+            int(argv[0]), exact="--exact" in argv)
+    assert len(digits) == 6024  # count 20000
+    assert limit() == before
 
 
 def test_import_leaves_census_stab_and_verify_unloaded():
@@ -144,6 +167,7 @@ def test_tables_dump_group(capsys):
     assert len(lines) == 192
     fields = lines[0].split("\t")
     assert fields[:3] == ["0", "I", "S_I"]
+    assert lines[1].split("\t")[:3] == ["1", "H", "S_H"]
     assert json.loads(fields[3])["den_exp"] == 0
     tags = {ln.split("\t")[2] for ln in lines}
     assert tags == {"S_I", "S_H", "S_PH"}
@@ -182,6 +206,20 @@ def test_tables_check_appendix_path(capsys, tmp_path):
                        str(tmp_path / "missing.txt"))
     assert code == 1
     assert "error" in err
+
+
+def test_tables_check_appendix_unreadable_file(capsys, tmp_path):
+    # A malformed line and a file that is not UTF-8 are reported, not
+    # raised as a traceback.
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("IT = TI\nHT = T = H\n")
+    assert run(capsys, "tables", "--check-appendix", str(malformed)) == (
+        1, "", "error: fixture line 2: expected one '=': 'HT = T = H'\n")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"IT = TI\n\xff\xfe\n")
+    code, out, err = run(capsys, "tables", "--check-appendix", str(binary))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_tables_requires_a_mode(capsys):

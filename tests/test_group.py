@@ -5,9 +5,8 @@ import random
 import pytest
 
 from hptcanon import ring
-from hptcanon.group import (ClosureExceedsLimit, CosetTag, build_group,
-                            coset_of, quotient_profile, subgroup_closure,
-                            subgroup_ct)
+from hptcanon.group import (ClosureExceedsLimit, build_group, quotient_profile,
+                            subgroup_closure, subgroup_ct)
 
 
 def test_order_and_identity_word(table):
@@ -42,7 +41,7 @@ def test_canonical_words_are_shortest_and_lex_least(table):
         frontier = [(w + g, m * ring.GATES[g]) for w, m in nxt for g in "HP"]
     assert len(first_word) == 192
     for gid in range(table.order):
-        assert table.words[gid] == first_word[table.matrix(gid)]
+        assert table.words[gid] == first_word[table.elements[gid]]
 
 
 def test_word_evaluation_matches_matrices(table):
@@ -50,7 +49,7 @@ def test_word_evaluation_matches_matrices(table):
         m = ring.IDENTITY
         for ch in table.words[gid]:
             m = m * ring.GATES[ch]
-        assert m == table.matrix(gid)
+        assert m == table.elements[gid]
 
 
 def test_mul_table_matches_matrix_products(table):
@@ -58,8 +57,8 @@ def test_mul_table_matches_matrix_products(table):
     for _ in range(10000):
         i = rng.randrange(table.order)
         j = rng.randrange(table.order)
-        assert table.matrix(table.mul[i][j]) == \
-            table.matrix(i) * table.matrix(j)
+        assert table.elements[table.mul[i][j]] == \
+            table.elements[i] * table.elements[j]
 
 
 @pytest.mark.parametrize("gens", [(("H", ring.H), ("P", ring.P)),
@@ -77,7 +76,7 @@ def test_mul_table_complete(gens):
 def test_inverse_table(table):
     for g in range(table.order):
         assert table.mul[table.inv[g]][g] == 0
-        assert table.matrix(table.inv[g]) == table.matrix(g).adjoint()
+        assert table.elements[table.inv[g]] == table.elements[g].adjoint()
 
 
 def test_gen_step_agrees_with_mul(table):
@@ -98,13 +97,13 @@ def test_conjugation_subgroup(table):
     t, t_adj = table.t_mat, table.t_mat.adjoint()
     conjugates = set()
     for g in range(table.order):
-        m = (t * table.matrix(g)) * t_adj
+        m = (t * table.elements[g]) * t_adj
         if m in table:
             conjugates.add(table.element_id(m))
     assert conjugates == ct
     # ...and conjugation maps the subgroup into itself.
     for g in ct:
-        m = (t * table.matrix(g)) * t_adj
+        m = (t * table.elements[g]) * t_adj
         assert table.element_id(m) in ct
 
 
@@ -124,18 +123,19 @@ def test_conjugation_subgroup_generating_set(table):
     assert subgroup_closure(table, gens) == table.ct_ids
 
 
-def test_coset_tags(table):
-    assert coset_of(table, table.word_id("P")) == CosetTag.S_I
-    assert coset_of(table, table.word_id("H")) == CosetTag.S_H
-    assert coset_of(table, table.word_id("PH")) == CosetTag.S_PH
-    counts = {tag: 0 for tag in CosetTag}
-    for g in range(table.order):
-        tag = coset_of(table, g)
-        counts[tag] += 1
-        # the tag's syndrome actually translates g into the subgroup
-        sid = table.syndrome_ids[tag.value]
-        assert table.mul[table.inv[sid]][g] in table.ct_ids
-    assert counts == {CosetTag.S_I: 64, CosetTag.S_H: 64, CosetTag.S_PH: 64}
+def test_coset_tags(table, r_rules):
+    # An element's coset tag is its slot: the index of its syndrome.
+    for tab, labels in ((table, ("I", "H", "PH")),
+                        (r_rules.table, ("I", "R", "PR"))):
+        assert tab.syndrome_labels == labels
+        for slot, word in enumerate(labels[1:], start=1):
+            assert tab.coset_slots[tab.word_id(word)] == slot
+        assert tab.coset_slots[tab.word_id("P")] == 0
+        for g, slot in enumerate(tab.coset_slots):
+            # the slot's syndrome actually translates g into the subgroup
+            sid = tab.syndrome_ids[slot]
+            assert tab.mul[tab.inv[sid]][g] in tab.ct_ids
+        assert [tab.coset_slots.count(s) for s in range(3)] == [64, 64, 64]
 
 
 def test_coset_tag_unique(table):
@@ -146,22 +146,21 @@ def test_coset_tag_unique(table):
         assert len(matches) == 1
 
 
-def test_scalar_subgroup(table):
+def test_scalar_subgroup(table, r_rules):
     assert table.word_id("HPHPHP") in table.scalar_ids
     # the eighth roots of unity
     expected, w = set(), ring.ONE
     for _ in range(8):
         expected.add(w)
         w = w * ring.OMEGA
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
     p_table = build_group([("P", ring.P)])
-    for tab, want in ((table, expected), (r_table, expected),
+    for tab, want in ((table, expected), (r_rules.table, expected),
                       (p_table, {ring.ONE})):
         # The entry-wise definition, element by element.
         scalars = tuple(i for i, m in enumerate(tab.elements)
                         if not m.e01 and not m.e10 and m.e00 == m.e11)
         assert tab.scalar_ids == scalars
-        assert {tab.matrix(sid).e00 for sid in scalars} == want
+        assert {tab.elements[sid].e00 for sid in scalars} == want
 
 
 def test_element_id_rejects_non_members(table):
@@ -192,7 +191,6 @@ def test_word_id_rejects_unknown_letter(table):
         table.word_id("HX")
 
 
-def test_gates_map_generator_names_and_t_to_matrices(table):
+def test_gates_map_generator_names_and_t_to_matrices(table, r_rules):
     assert table.gates == {"H": ring.H, "P": ring.P, "T": ring.T}
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
-    assert r_table.gates == {"R": ring.R, "P": ring.P, "T": ring.T}
+    assert r_rules.table.gates == {"R": ring.R, "P": ring.P, "T": ring.T}

@@ -8,11 +8,9 @@ import pytest
 
 from hptcanon import census, ring
 from hptcanon import normalize as normalize_mod
-from hptcanon.group import build_group
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
-from hptcanon.rules import build_rules
 from hptcanon.stab import stab_of_normal_form
 
 
@@ -181,8 +179,7 @@ def test_evaluate_alternate_basis_matches_float_shadow():
         assert got.scaled_key() == _oracle_key(w, gates)
 
 
-def test_missing_rules_is_a_named_type_error(table, rules):
-    r_rules = build_rules(build_group([("R", ring.R), ("P", ring.P)]))
+def test_missing_rules_is_a_named_type_error(table, rules, r_rules):
     r_table = r_rules.table
     calls = [
         lambda: normalize("HT", table),
@@ -359,10 +356,9 @@ def _block_product_fold(nf, table):
     return m * table.elements[nf.cliff]
 
 
-def test_normal_form_matrix_matches_block_product_fold(table):
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
+def test_normal_form_matrix_matches_block_product_fold(table, r_rules):
     rng = random.Random(53)
-    for tab in (table, r_table):
+    for tab in (table, r_rules.table):
         for n in range(31):
             for _ in range(4):
                 blocks = tuple(rng.choice((Block.T, Block.HT, Block.PHT))

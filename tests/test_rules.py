@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from hptcanon import ring
-from hptcanon.group import CosetTag, build_group
+from hptcanon.group import build_group
 from hptcanon.normalize import evaluate
 from hptcanon.rules import (RuleDerivationFailure, build_rules, check_fixture,
                             emit_rules, load_bundled_fixture, parse_fixture)
@@ -21,34 +21,33 @@ def _assert_every_rule_holds(rules):
     # W0*T == S*T*W1 by exact products, independent of how W1 was found.
     table = rules.table
     t = table.t_mat
-    for w0 in range(table.order):
-        tag, w1 = rules.rule_for(w0)
-        syn = table.matrix(table.syndrome_ids[tag.value])
-        lhs = table.matrix(w0) * t
-        rhs = (syn * t) * table.matrix(w1)
-        assert lhs == rhs
+    for w0, m in enumerate(table.elements):
+        syn = table.elements[table.syndrome_ids[rules.slots[w0]]]
+        assert m * t == (syn * t) * table.elements[rules.w1_ids[w0]]
 
 
 def test_every_rule_holds_exactly(rules):
     _assert_every_rule_holds(rules)
 
 
+def _rule(rules, w0):
+    return rules.slots[w0], rules.w1_ids[w0]
+
+
 def test_specific_rules(rules, table):
     w1_expected = table.word_id("HPHPPPH")
-    assert rules.rule_for(table.word_id("HPPH")) == (CosetTag.S_I, w1_expected)
-    assert rules.rule_for(table.word_id("PPH")) == (CosetTag.S_H, w1_expected)
-    assert rules.rule_for(table.word_id("PPPH")) == (CosetTag.S_PH,
-                                                     w1_expected)
-    assert rules.rule_for(0) == (CosetTag.S_I, 0)
+    assert _rule(rules, table.word_id("HPPH")) == (0, w1_expected)
+    assert _rule(rules, table.word_id("PPH")) == (1, w1_expected)
+    assert _rule(rules, table.word_id("PPPH")) == (2, w1_expected)
+    assert _rule(rules, 0) == (0, 0)
 
 
 def test_identity_section_is_a_bijection_on_the_subgroup(rules, table):
     ct = table.ct_ids
     mapped = {}
     for w0 in ct:
-        tag, w1 = rules.rule_for(w0)
-        assert tag == CosetTag.S_I
-        mapped[w0] = w1
+        assert rules.slots[w0] == 0
+        mapped[w0] = rules.w1_ids[w0]
     assert set(mapped) == ct
     assert set(mapped.values()) == ct  # conjugation by T permutes C_T
 
@@ -59,11 +58,9 @@ def test_syndrome_sections_pair_with_identity_section(rules, table):
     h = table.gen_ids[table.gen_names[0]]
     ph = table.syndrome_ids[2]
     for w0 in table.ct_ids:
-        _, w1 = rules.rule_for(w0)
-        tag_h, w1_h = rules.rule_for(table.mul[h][w0])
-        tag_ph, w1_ph = rules.rule_for(table.mul[ph][w0])
-        assert (tag_h, w1_h) == (CosetTag.S_H, w1)
-        assert (tag_ph, w1_ph) == (CosetTag.S_PH, w1)
+        w1 = rules.w1_ids[w0]
+        assert _rule(rules, table.mul[h][w0]) == (1, w1)
+        assert _rule(rules, table.mul[ph][w0]) == (2, w1)
 
 
 def test_emit_format(rules, table):
@@ -97,10 +94,9 @@ def test_fixture_check_catches_corruption(rules):
     assert any("HPPHT" in p for p in problems)
 
 
-def test_rules_derive_for_alternate_two_generator_basis():
+def test_rules_derive_for_alternate_two_generator_basis(r_rules):
     # The same construction goes through with the other Hadamard-like
     # generator; derivation fails only if some conjugate leaves the group.
-    r_rules = build_rules(build_group([("R", ring.R), ("P", ring.P)]))
     assert len(r_rules) == 192
     _assert_every_rule_holds(r_rules)
 
