@@ -219,19 +219,22 @@ def verify_uniqueness(n, table, with_oracle=True):
     closed forms, and (when enabled) the matrix set equal to the
     brute-force oracle's.
 
-    Forms arrive grouped by block tuple, so the product of the blocks is
-    taken once per tuple and multiplied by each Clifford tail; canonical
-    keys are unique, so this equals normal_form_matrix of every form.
+    Forms arrive grouped by block tuple, so the blocks' matrix is taken
+    once per tuple, and one walk of the closure tree
+    (GroupTable.right_products) gives its product with every Clifford
+    tail, one generator step per tail.  Each form reads its key from that
+    walk by its tail id; canonical keys are unique, so the key is that of
+    normal_form_matrix of the form.
     """
     order = table.order
-    cliffs = table.elements
     seen = {}
     layer_counts = [0] * (n + 1)
     for blocks, forms in groupby(enumerate_normal_forms(n, table),
                                  key=attrgetter("blocks")):
-        prefix = normal_form_matrix(NormalForm(blocks, 0), table)
+        keys = table.right_products(
+            normal_form_matrix(NormalForm(blocks, 0), table).scaled_key())
         for nf in forms:
-            key = (prefix * cliffs[nf.cliff]).scaled_key()
+            key = keys[nf.cliff]
             other = seen.get(key)
             if other is not None:
                 raise VerificationFailure(

@@ -13,7 +13,11 @@ The other tables are derived from the closure's parent links: a column
 of the multiplication table is its parent's column looked up in one
 generator step table, an inverse is where a row hits the identity, and
 an element's T-conjugate is its parent's conjugate times its last
-generator's, one exact product per element.
+generator's, one exact product per element.  The closure itself steps
+on flat keys with ring._gate_mul, so an H or P step is a column sum and
+difference or a column rotation, not a full product.  The table keeps
+the closure tree, and GroupTable.right_products walks it to multiply
+one matrix by every element with one generator step per element.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from . import ring
-from .ring import UMat2
+from .ring import UMat2, _gate_mul
 
 
 class ClosureExceedsLimit(Exception):
@@ -40,16 +44,24 @@ class GroupTable:
     `t_conj[g]` is the id of T * elements[g] * T_adj, or None when that
     matrix is not an element; `ct_ids` is the set of g where it is not
     None.
+
+    The closure's breadth-first tree is kept: element j > 0 was first
+    reached as elements[parent[j]] times generator number last[j], and
+    parent[j] < j.  right_products walks that tree.
     """
 
-    def __init__(self, gens, elements, words, index, gen_step, mul,
-                 inv, t_mat, t_conj, ct_ids, coset_slots, syndrome_ids,
-                 syndrome_labels, scalar_ids):
+    def __init__(self, gens, elements, words, index, parent, last,
+                 gen_step, mul, inv, t_mat, t_conj, ct_ids, coset_slots,
+                 syndrome_ids, syndrome_labels, scalar_ids):
         gen_names = tuple(name for name, _ in gens)
         self.gen_names = gen_names
         self.elements = elements
         self.words = words
         self.index = index
+        self.parent = parent
+        self.last = last
+        # (parent, generator matrix) of each element j >= 1, in id order.
+        self._tree = tuple(zip(parent[1:], [gens[g][1] for g in last[1:]]))
         self.mul = mul
         self.inv = inv
         self.t_mat = t_mat
@@ -84,6 +96,21 @@ class GroupTable:
     def __contains__(self, mat):
         return mat in self.index
 
+    def right_products(self, key):
+        """Keys of m * elements[j] for j = 0..order-1, where m is the
+        matrix with canonical key `key` (UMat2.scaled_key()).
+
+        One walk of the closure tree: m * elements[j] is
+        (m * elements[parent[j]]) * generator last[j], and parent[j] < j,
+        so each element costs one ring._gate_mul step from an earlier
+        entry, not a full product.
+        """
+        out = [key]
+        append = out.append
+        for p, gate in self._tree:
+            append(_gate_mul(out[p], gate))
+        return out
+
     def word_id(self, word):
         """Id of f(word) for a word over the generators."""
         g = self.identity_id
@@ -101,6 +128,12 @@ def build_group(generators, limit=10000):
     """Close `generators` (sequence of (single-letter name, matrix) pairs)
     under multiplication.
 
+    The closure is breadth-first on flat keys: each (element, generator)
+    product is one ring._gate_mul step, a column sum and difference for
+    the ring's own H and a column rotation for its own P.  The tree it
+    grows (parent and last generator of each element) is kept on the
+    table.
+
     Raises ClosureExceedsLimit if more than `limit` distinct elements
     appear, so a typo'd generator set cannot loop forever.  T is the
     non-Clifford gate used for the conjugation subgroup and cosets.
@@ -112,9 +145,9 @@ def build_group(generators, limit=10000):
         if len(name) != 1:
             raise ValueError(f"generator names must be single letters: {name!r}")
 
-    elements = [ring.IDENTITY]
+    keys = [ring.IDENTITY.scaled_key()]
     words = [""]
-    index = {ring.IDENTITY: 0}
+    ids = {keys[0]: 0}
     # gen_step[pos][i] is the id of elements[i] * generator pos; element j
     # is first reached as elements[parent[j]] * generator last[j].
     gen_step = [[] for _ in gens]
@@ -123,26 +156,28 @@ def build_group(generators, limit=10000):
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        base = elements[i]
+        base = keys[i]
         for pos, (name, mat) in enumerate(gens):
-            prod = base * mat
-            j = index.get(prod)
+            prod = _gate_mul(base, mat)
+            j = ids.get(prod)
             if j is None:
-                if len(elements) >= limit:
+                if len(keys) >= limit:
                     raise ClosureExceedsLimit(limit)
-                j = index[prod] = len(elements)
-                elements.append(prod)
+                j = ids[prod] = len(keys)
+                keys.append(prod)
                 words.append(words[i] + name)
                 parent.append(i)
                 last.append(pos)
                 queue.append(j)
             gen_step[pos].append(j)
+    n = len(keys)
+    elements = [UMat2._raw(key) for key in keys]
+    index = dict(zip(elements, range(n)))
 
     # Multiplication table, one column at a time: elements[i] * elements[j]
     # = (elements[i] * elements[parent[j]]) * generator last[j], and
     # parent[j] < j, so column j is column parent[j] looked up in one
     # step table.  This costs table lookups only.
-    n = len(elements)
     columns = [tuple(range(n))]
     for j in range(1, n):
         columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))
@@ -180,13 +215,12 @@ def build_group(generators, limit=10000):
 
     # Scalars read off the flat key: both off-diagonal numerators zero and
     # the diagonal numerators equal (over the key's common sqrt2**k).
-    keys = [m.scaled_key() for m in elements]
     scalar_ids = tuple(i for i, key in enumerate(keys)
                        if not any(key[5:13]) and key[1:5] == key[13:17])
 
-    return GroupTable(gens, elements, words, index, gen_step, mul, inv, t,
-                      t_conj, ct_ids, coset_slots, syndrome_ids,
-                      syndrome_labels, scalar_ids)
+    return GroupTable(gens, elements, words, index, tuple(parent),
+                      tuple(last), gen_step, mul, inv, t, t_conj, ct_ids,
+                      coset_slots, syndrome_ids, syndrome_labels, scalar_ids)
 
 
 def build_standard_table():
@@ -204,23 +238,6 @@ def subgroup_ct(table):
     t_adj = t.adjoint()
     return frozenset(i for i, m in enumerate(table.elements)
                      if (t * m) * t_adj in table.index)
-
-
-def subgroup_closure(table, ids):
-    """Closure of a subset of element ids under the group multiplication."""
-    seen = set(ids)
-    seen.add(table.identity_id)
-    queue = deque(seen)
-    mul = table.mul
-    gens = tuple(ids)
-    while queue:
-        i = queue.popleft()
-        for j in gens:
-            p = mul[i][j]
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
 
 
 def quotient_profile(table):

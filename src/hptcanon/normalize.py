@@ -106,7 +106,10 @@ def evaluate(circuit, gates=ring.GATES):
     and omega**2, the ring's own H replaces the columns by their sum and
     difference with k + 1, and any other matrix, equal to one of them or
     not, takes the exact generic flat product.  The mapping is read at
-    each gate, so a caller's later change to it is always seen.
+    each gate, so a caller's later change to it is always seen.  These
+    steps are inline, not calls of ring._gate_mul, which takes the same
+    H and P steps: evaluate stays an independent oracle for the ring
+    code, and a call per gate would cost it a frame per gate.
     """
     T, H, P = ring.T, ring.H, ring.P
     k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0

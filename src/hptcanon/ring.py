@@ -12,6 +12,10 @@ numerators over one common sqrt2**k with k as small as possible
 eight numerator convolutions and one joint reduction, with no
 per-entry objects.  A StateVec is kept the same way, as (k, 8 integers),
 so applying a matrix to a state builds no per-entry objects either.
+A product by one generator is cheaper still: _gate_mul takes the ring's
+own P as a rotation of column 1 and its own H as a column sum and
+difference with one joint reduction, which is what the group closure
+and its tree walk (group.GroupTable.right_products) step by.
 """
 
 from __future__ import annotations
@@ -211,6 +215,41 @@ def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         k -= 1
     return (k, e0, f0, g0, h0, e1, f1, g1, h1,
             e2, f2, g2, h2, e3, f3, g3, h3)
+
+
+def _gate_mul(x: tuple[int, ...], gate: UMat2) -> tuple[int, ...]:
+    """Key of x * gate for a canonical key x: one generator step.
+
+    The gate is dispatched by identity, as in normalize.evaluate: the
+    ring's own P rotates column 1 by i, the ring's own H replaces the
+    columns by their sum and difference with k + 1 and one joint
+    reduction, and any other matrix, equal to one of them or not, takes
+    _mat_mul.  evaluate keeps its own inline copy of these steps: it is
+    an independent oracle, and a call per gate would cost it a frame.
+    """
+    if gate is not P and gate is not H:
+        return _mat_mul(x, gate._key)
+    (k, a0, b0, c0, d0, a1, b1, c1, d1,
+     a2, b2, c2, d2, a3, b3, c3, d3) = x
+    if gate is P:
+        # Multiplying by the unit i, (a, b, c, d) -> (-c, -d, a, b), keeps
+        # every entry's sqrt2 divisibility, so the key stays canonical.
+        return (k, a0, b0, c0, d0, -c1, -d1, a1, b1,
+                a2, b2, c2, d2, -c3, -d3, a3, b3)
+    k += 1
+    a0, b0, c0, d0, a1, b1, c1, d1 = (
+        a0 + a1, b0 + b1, c0 + c1, d0 + d1, a0 - a1, b0 - b1, c0 - c1, d0 - d1)
+    a2, b2, c2, d2, a3, b3, c3, d3 = (
+        a2 + a3, b2 + b3, c2 + c3, d2 + d3, a2 - a3, b2 - b3, c2 - c3, d2 - d3)
+    while k and not ((a0 ^ c0) | (b0 ^ d0) | (a1 ^ c1) | (b1 ^ d1)
+                     | (a2 ^ c2) | (b2 ^ d2) | (a3 ^ c3) | (b3 ^ d3)) & 1:
+        a0, b0, c0, d0 = (b0 - d0) >> 1, (a0 + c0) >> 1, (b0 + d0) >> 1, (c0 - a0) >> 1
+        a1, b1, c1, d1 = (b1 - d1) >> 1, (a1 + c1) >> 1, (b1 + d1) >> 1, (c1 - a1) >> 1
+        a2, b2, c2, d2 = (b2 - d2) >> 1, (a2 + c2) >> 1, (b2 + d2) >> 1, (c2 - a2) >> 1
+        a3, b3, c3, d3 = (b3 - d3) >> 1, (a3 + c3) >> 1, (b3 + d3) >> 1, (c3 - a3) >> 1
+        k -= 1
+    return (k, a0, b0, c0, d0, a1, b1, c1, d1,
+            a2, b2, c2, d2, a3, b3, c3, d3)
 
 
 class UMat2:

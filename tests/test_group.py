@@ -6,7 +6,8 @@ import pytest
 
 from hptcanon import ring
 from hptcanon.group import (ClosureExceedsLimit, build_group, quotient_profile,
-                            subgroup_closure, subgroup_ct)
+                            subgroup_ct)
+from hptcanon.normalize import Block, NormalForm, normal_form_matrix
 
 
 def test_order_and_identity_word(table):
@@ -119,8 +120,16 @@ def test_t_conj_matches_direct_conjugation(gens):
 
 
 def test_conjugation_subgroup_generating_set(table):
+    # C_T holds the identity and is closed under products, and P, HPPH
+    # and HPHPHP generate it.
+    ct, mul = table.ct_ids, table.mul
+    assert table.identity_id in ct
+    assert all(mul[a][b] in ct for a in ct for b in ct)
     gens = [table.word_id(w) for w in ("P", "HPPH", "HPHPHP")]
-    assert subgroup_closure(table, gens) == table.ct_ids
+    reached, grown = set(), {table.identity_id}
+    while grown != reached:
+        reached, grown = grown, grown | {mul[a][g] for a in grown for g in gens}
+    assert reached == ct
 
 
 def test_coset_tags(table, r_rules):
@@ -194,3 +203,21 @@ def test_word_id_rejects_unknown_letter(table):
 def test_gates_map_generator_names_and_t_to_matrices(table, r_rules):
     assert table.gates == {"H": ring.H, "P": ring.P, "T": ring.T}
     assert r_rules.table.gates == {"R": ring.R, "P": ring.P, "T": ring.T}
+
+
+@pytest.mark.parametrize("basis", ["HP", "RP"])
+def test_right_products_walk_equals_full_products(basis, table, r_rules):
+    # One walk of the closure tree gives the same keys as one full
+    # product per element, on <H,P> (the H and P steps) and on <R,P>
+    # (R takes the generic product).
+    tab = table if basis == "HP" else r_rules.table
+    rng = random.Random(43)
+    for nblocks in range(7):
+        for _ in range(3):
+            blocks = tuple(rng.choice((Block.HT, Block.PHT) if i else
+                                      (Block.T, Block.HT, Block.PHT))
+                           for i in range(nblocks))
+            nf = NormalForm(blocks, rng.randrange(tab.order))
+            m = normal_form_matrix(nf, tab)
+            assert tab.right_products(m.scaled_key()) == [
+                (m * e).scaled_key() for e in tab.elements]

@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from itertools import product
 
 import pytest
 
@@ -270,3 +269,31 @@ def test_matrix_from_mixed_exponent_entries_matches_products():
                         m * ring.T * ring.T.adjoint()):
             assert reached == m and hash(reached) == hash(m)
             assert reached.scaled_key() == m.scaled_key()
+
+
+def test_gate_step_equals_generic_product():
+    # The ring's own H and P take their column steps, any other matrix
+    # (R, T, and fresh copies of H and P) the generic product; every one
+    # gives _mat_mul's key, on the keys of all H/P/T words of <= 4 letters
+    # and on seeded keys at denominator exponents 0 to 33.
+    rng = random.Random(41)
+    mats = frontier = [ring.IDENTITY]
+    for _ in range(4):
+        frontier = [m * ring.GATES[g] for m in frontier for g in "HPT"]
+        mats = mats + frontier
+    keys = [m.scaled_key() for m in mats]
+    for k in (0, 0, 1, 2, 7, 20, 20, 33):
+        # a odd and c even in the first entry: no sqrt2 divides it.
+        first = RingElem(2 * rng.randint(-50, 50) + 1, rng.randint(-100, 100),
+                         2 * rng.randint(-50, 50), rng.randint(-100, 100), k)
+        key = UMat2(first, *(rand_elem(rng, k) for _ in range(3))).scaled_key()
+        assert key[0] == k
+        keys.append(key)
+    h_copy = UMat2(*ring.H.entries)
+    p_copy = UMat2(*ring.P.entries)
+    assert h_copy == ring.H and h_copy is not ring.H
+    assert p_copy == ring.P and p_copy is not ring.P
+    for gate in (ring.H, ring.P, ring.R, ring.T, h_copy, p_copy):
+        for key in keys:
+            assert ring._gate_mul(key, gate) == ring._mat_mul(
+                key, gate.scaled_key())
