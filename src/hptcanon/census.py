@@ -4,9 +4,13 @@ M_n is the set of matrices computable with at most n T gates.  The
 closed forms |M_n| = order*(3*2**n - 2) and |M_=n| = 3*order*2**(n-1)
 are checked against two independent routes: enumerating normal forms
 and evaluating them exactly, and a brute-force closure oracle that
-multiplies matrices without ever consulting the normalizer or rules.
-The enumeration, the oracle and verify_uniqueness take the group table
-they count over, so verify.check_remark_r reruns them with the alternate
+multiplies flat matrix keys without ever consulting the normalizer,
+rules or ring products.  The oracle's work is cut by D, the diagonal
+group elements diag(omega**a, omega**b): they commute with T, and a left
+factor in D rotates each row, so the oracle takes one product per coset
+D*r of the group and keeps one matrix per orbit D*m of each layer.  The
+enumeration, the oracle and verify_uniqueness take the group table they
+count over, so verify.check_remark_r reruns them with the alternate
 generator R (the pi/4 y-rotation) in place of H.
 """
 
@@ -109,63 +113,53 @@ def _flat_mul(x, y):
             a2, b2, c2, d2, a3, b3, c3, d3)
 
 
-def _omega_power(key):
-    # The j in 0..7 with key == omega**j * I (and -omega**j = omega**(j+4)),
-    # or None when the key is not a scalar unit of that shape.
-    if key[0] != 0 or any(key[5:13]) or key[1:5] != key[13:17]:
+def _diagonal_powers(key):
+    # The (a, b) with key == diag(omega**a, omega**b), where -omega**j is
+    # omega**(j + 4); None for any other key.
+    entries = key[1:5], key[13:17]
+    if key[0] or any(key[5:13]) or any(
+            sorted(map(abs, e)) != [0, 0, 0, 1] for e in entries):
         return None
-    nonzero = [(j, v) for j, v in enumerate(key[1:5]) if v]
-    if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-        return None
-    j, sign = nonzero[0]
-    return j if sign == 1 else j + 4
+    return tuple(e.index(1) if 1 in e else e.index(-1) + 4 for e in entries)
 
 
-def _rotations(key):
-    """The eight keys omega**j * key, j = 0..7.
-
-    Multiplying by the unit omega maps each entry a + b*w + c*w^2 + d*w^3
-    to -d + a*w + b*w^2 + c*w^3 and keeps the denominator exponent
-    canonical, so every rotation is already a reduced key.
-    """
-    (k, a0, b0, c0, d0, a1, b1, c1, d1,
-     a2, b2, c2, d2, a3, b3, c3, d3) = key
-    na0, nb0, nc0, nd0 = -a0, -b0, -c0, -d0
-    na1, nb1, nc1, nd1 = -a1, -b1, -c1, -d1
-    na2, nb2, nc2, nd2 = -a2, -b2, -c2, -d2
-    na3, nb3, nc3, nd3 = -a3, -b3, -c3, -d3
-    return [
-        key,
-        (k, nd0, a0, b0, c0, nd1, a1, b1, c1,
-         nd2, a2, b2, c2, nd3, a3, b3, c3),
-        (k, nc0, nd0, a0, b0, nc1, nd1, a1, b1,
-         nc2, nd2, a2, b2, nc3, nd3, a3, b3),
-        (k, nb0, nc0, nd0, a0, nb1, nc1, nd1, a1,
-         nb2, nc2, nd2, a2, nb3, nc3, nd3, a3),
-        (k, na0, nb0, nc0, nd0, na1, nb1, nc1, nd1,
-         na2, nb2, nc2, nd2, na3, nb3, nc3, nd3),
-        (k, d0, na0, nb0, nc0, d1, na1, nb1, nc1,
-         d2, na2, nb2, nc2, d3, na3, nb3, nc3),
-        (k, c0, d0, na0, nb0, c1, d1, na1, nb1,
-         c2, d2, na2, nb2, c3, d3, na3, nb3),
-        (k, b0, c0, d0, na0, b1, c1, d1, na1,
-         b2, c2, d2, na2, b3, c3, d3, na3),
-    ]
+def _row_rotations(row):
+    """omega**j * row for j = 0..7, for a row of two entries (8
+    numerators).  omega maps each entry a + b*w + c*w^2 + d*w^3 to
+    -d + a*w + b*w^2 + c*w^3 and keeps its sqrt2 divisibility, so a
+    reduced key stays reduced."""
+    a0, b0, c0, d0, a1, b1, c1, d1 = row
+    return [row,
+            (-d0, a0, b0, c0, -d1, a1, b1, c1),
+            (-c0, -d0, a0, b0, -c1, -d1, a1, b1),
+            (-b0, -c0, -d0, a0, -b1, -c1, -d1, a1),
+            (-a0, -b0, -c0, -d0, -a1, -b1, -c1, -d1),
+            (d0, -a0, -b0, -c0, d1, -a1, -b1, -c1),
+            (c0, d0, -a0, -b0, c1, d1, -a1, -b1),
+            (b0, c0, d0, -a0, b1, c1, d1, -a1)]
 
 
-def _orbit_reps(keys, powers):
-    """One key per scalar orbit {omega**j * key : j in powers}, in the
-    order the keys come.  The orbits must tile the keys: every orbit lies
-    in them and no two overlap, or VerificationFailure is raised."""
+def _orbit(key, pairs):
+    """The keys diag(omega**a, omega**b) * key for (a, b) in pairs, in
+    order: row 0 rotated by a, row 1 by b.  No product is taken."""
+    top = [key[:1] + r for r in _row_rotations(key[1:9])]
+    bottom = _row_rotations(key[9:17])
+    return [top[a] + bottom[b] for a, b in pairs]
+
+
+def _orbit_reps(keys, pairs):
+    """One key per left orbit {d * key : d in D}, D the diagonal group
+    elements given by pairs, in the order the keys come.  The orbits must
+    tile the keys: every orbit lies in them and no two overlap, or
+    VerificationFailure is raised."""
     left = set(keys)
     reps = []
     for key in keys:
         if key in left:
             reps.append(key)
-            rots = _rotations(key)
-            orbit = {rots[j] for j in powers}
+            orbit = set(_orbit(key, pairs))
             if not orbit <= left:
-                raise VerificationFailure("scalar orbits do not tile the "
+                raise VerificationFailure("diagonal orbits do not tile the "
                                           f"{len(left)} keys left")
             left -= orbit
     return reps
@@ -178,15 +172,21 @@ def brute_force_mn(n, table):
     Starts from all group elements and repeatedly adds c*T*m over all
     group elements c.  Products are only taken against the previous
     layer's new matrices: c*T*m for older m is in M_{k-1} by definition
-    and was produced at an earlier step.  Both loops are cut by scalar
-    orbits, the sets {omega**j * m} with j running over the powers of
-    omega that are group elements.  A group scalar is central, so
-    c*T*(omega**j * m) = (c * omega**j)*T*m, and c * omega**j runs over
-    the group as c does: every matrix of an orbit yields the same next
-    layer, and the frontier keeps one matrix per orbit.  The c loop takes
-    c = omega**j * r with r one representative per orbit; each r costs
-    one real multiplication r*(T*m), and its orbit's other members are
-    read off the eight omega-rotations of that product.
+    and was produced at an earlier step.
+
+    Both loops are cut by D, the group elements whose key is diag(omega**a,
+    omega**b): on <H,P> and <R,P> the 8 scalars times the 4 powers of P.
+    D is closed under products and inverses, so it is a subgroup, and
+    each d in D commutes with T.  So c*T*(d*m) = (c*d)*T*m, and c*d runs
+    over the group as c does: every matrix of a left orbit D*m yields the
+    same next layer, and the frontier keeps one matrix per orbit.  A layer
+    is a union of orbits, since d*(c*T*m) = (d*c)*T*m; so is what is left
+    of it once older layers (unions of orbits too) are removed, and the
+    orbits of a subgroup are disjoint, so they tile it (_orbit_reps checks
+    this).  The c loop takes c = d*r with r one representative of each
+    coset D*r (6 on <H,P>): each r costs one real multiplication r*(T*m),
+    and the other members of its coset are read off the eight
+    omega-rotations of each row of that product, row 0 by a and row 1 by b.
 
     Returns (set of flat keys, per-layer new-matrix counts).
     """
@@ -194,8 +194,8 @@ def brute_force_mn(n, table):
     cliff_keys = [m.scaled_key() for m in table.elements]
     t_key = table.t_mat.scaled_key()
 
-    powers = [j for j in map(_omega_power, cliff_keys) if j is not None]
-    reps = _orbit_reps(cliff_keys, powers)
+    pairs = [p for p in map(_diagonal_powers, cliff_keys) if p is not None]
+    reps = _orbit_reps(cliff_keys, pairs)
     total = set(cliff_keys)
     layer_sizes = [len(total)]
     frontier = reps
@@ -204,12 +204,11 @@ def brute_force_mn(n, table):
         for m in frontier:
             tm = _flat_mul(t_key, m)
             for r in reps:
-                rots = _rotations(_flat_mul(r, tm))
-                new.update([rots[j] for j in powers])
+                new.update(_orbit(_flat_mul(r, tm), pairs))
         new -= total
         total |= new
         layer_sizes.append(len(new))
-        frontier = _orbit_reps(new, powers)
+        frontier = _orbit_reps(new, pairs)
     return total, tuple(layer_sizes)
 
 

@@ -185,24 +185,25 @@ def step_law_counterexample(table):
     return None
 
 
-def verify_stabilizes(st, state):
-    """Exact check that (x, y, z) stabilizes the state: M s = s.
+def verify_stabilizes(st, m):
+    """Exact check that (x, y, z) stabilizes the state m|0>, column 0 of
+    the matrix m: M s = s.
 
     With M = N / sqrt2**level (N from _numerators) and s = (u, v) / sqrt2**k,
-    the check is N (u, v) = sqrt2**level (u, v), on integer numerators:
-    UMat2.apply at exponent 0 takes no reduction step, so it returns
-    N (u, v) unreduced.
+    u and v the key's entries e00 and e10, the check is N (u, v) =
+    sqrt2**level (u, v), on integer numerators.  N (u, v) is column 0 of
+    the product of N with the matrix whose column 0 is (u, v) and whose
+    column 1 is zero: at exponent 0, _mat_mul takes no reduction step.
     """
-    try:
-        _, u0, u1, u2, u3, v0, v1, v2, v3 = state._key
-    except (AttributeError, ValueError):
-        raise TypeError("verify_stabilizes() state must be a StateVec, "
-                        f"not {type(state).__name__}") from None
-    n = ring.UMat2._raw((0, *_numerators(st))).apply(
-        ring.StateVec._raw((0, u0, u1, u2, u3, v0, v1, v2, v3)))._key
+    if not isinstance(m, ring.UMat2):
+        raise TypeError("verify_stabilizes() m must be a UMat2, "
+                        f"not {type(m).__name__}")
+    u, v = m._key[1:5], m._key[9:13]
+    n = ring._mat_mul((0, *_numerators(st)), (0, *u, 0, 0, 0, 0, *v,
+                                              0, 0, 0, 0))
     level = st.level
-    return n[1:] == (ring._scaled(u0, u1, u2, u3, level)
-                     + ring._scaled(v0, v1, v2, v3, level))
+    return n[1:5] + n[9:13] == (ring._scaled(*u, level)
+                                + ring._scaled(*v, level))
 
 
 def nonidentity_witness(nf, table):

@@ -305,7 +305,7 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
         if (not ok or trace[-1].level != k
                 or prev is stab.ParityClass.OTHER
                 or m == ring.IDENTITY
-                or not stab.verify_stabilizes(trace[-1], m.apply(ring.KET0))):
+                or not stab.verify_stabilizes(trace[-1], m)):
             failures += 1
     dt = time.perf_counter() - t0
     ok = counterexample is None and failures == 0 and dt < 30.0

@@ -164,7 +164,8 @@ def test_oracle_matches_naive_closure_small(table, r_rules):
 
 
 def test_oracle_partial_scalar_orbits():
-    # <P> holds no scalar but the identity, so each orbit is one element.
+    # <P> holds no scalar but the identity, and every element is
+    # diagonal: D is the whole group, and the cosets of D are one.
     p_table = build_group([("P", ring.P)])
     assert p_table.scalar_ids == (0,)
     for n in range(0, 4):
@@ -172,14 +173,37 @@ def test_oracle_partial_scalar_orbits():
         assert fast == _naive_closure(n, p_table)
 
 
-def test_rotations_are_omega_scalar_products(table):
-    scalars, w = [], ring.ONE
-    for _ in range(8):
-        scalars.append(UMat2(w, ring.ZERO, ring.ZERO, w))
-        w = w * ring.OMEGA
-    for m in table.elements:
-        rots = census._rotations(m.scaled_key())
-        assert rots == [(s * m).scaled_key() for s in scalars]
+def test_oracle_no_diagonal_but_identity():
+    # <H> = {I, H}: D = {I}, so each orbit is one element.
+    h_table = build_group([("H", ring.H)])
+    assert h_table.order == 2
+    for n in range(0, 4):
+        fast, _ = brute_force_mn(n, h_table)
+        assert fast == _naive_closure(n, h_table)
+
+
+def _diagonal_elements(tab):
+    return [d for d in tab.elements if census._diagonal_powers(d.scaled_key())]
+
+
+def test_orbit_is_diagonal_products(table, r_rules):
+    for tab in (table, r_rules.table):
+        diags = _diagonal_elements(tab)
+        assert len(diags) == 32
+        pairs = [census._diagonal_powers(d.scaled_key()) for d in diags]
+        for m in tab.elements:
+            assert census._orbit(m.scaled_key(), pairs) == \
+                [(d * m).scaled_key() for d in diags]
+
+
+def test_orbit_reps_refuse_keys_not_closed_under_diagonals(table):
+    pairs = [census._diagonal_powers(d.scaled_key())
+             for d in _diagonal_elements(table)]
+    keys = [m.scaled_key() for m in table.elements]
+    assert len(census._orbit_reps(keys, pairs)) == 6
+    with pytest.raises(census.VerificationFailure,
+                       match=r"diagonal orbits do not tile the \d+ keys left"):
+        census._orbit_reps(keys[1:], pairs)
 
 
 @pytest.fixture(scope="module")

@@ -156,31 +156,33 @@ def test_fold_over_normal_form(table):
 
 
 def test_verify_stabilizes():
+    # The state is column 0 of the matrix: |0>, |+> = H|0>, |1> = X|0>.
     z_axis = StabTriple((0, 0), (0, 0), (1, 0), 0)
     x_axis = StabTriple((1, 0), (0, 0), (0, 0), 0)
-    plus = ring.H.apply(ring.KET0)
-    assert verify_stabilizes(z_axis, ring.KET0)
-    assert verify_stabilizes(x_axis, plus)
-    assert not verify_stabilizes(z_axis, ring.StateVec(ring.ZERO, ring.ONE))
-    for bad in ((1, 0), ring.H, None):
-        with pytest.raises(TypeError, match="must be a StateVec"):
+    assert verify_stabilizes(z_axis, ring.IDENTITY)
+    assert verify_stabilizes(x_axis, ring.H)
+    assert not verify_stabilizes(z_axis, ring.PAULI_X)
+    for bad in ((1, 0), ring.KET0, None):
+        with pytest.raises(TypeError, match="m must be a UMat2, not "
+                                            f"{type(bad).__name__}"):
             verify_stabilizes(z_axis, bad)
     with pytest.raises(ValueError, match="level must be >= 0, got -1"):
-        verify_stabilizes(z_axis._replace(level=-1), ring.KET0)
+        verify_stabilizes(z_axis._replace(level=-1), ring.IDENTITY)
 
 
 def test_flat_check_matches_stab_matrix_on_chains(table):
-    # The flat check against its specification, M s = s with M built by
-    # stab_matrix, on the true triple and on two mutations of it.
+    # The flat check against its specification, M s = s for s column 0 of
+    # the chain's matrix and M built by stab_matrix, on the true triple
+    # and on two mutations of it.
     rng = random.Random(59)
     for _ in range(200):
         cliff = rng.randrange(table.order)
         st = initial_stab(cliff, table)
-        state = table.elements[cliff].apply(ring.KET0)
+        m = table.elements[cliff]
         for _ in range(rng.randint(0, 30)):
             b = rng.choice((Block.T, Block.HT, Block.PHT))
             st = step_block(st, b)
-            state = table.block_matrices[b].apply(state)
+            m = table.block_matrices[b] * m
             axis = rng.randrange(3)
             pair = list(st[axis])
             pair[rng.randrange(2)] += 2
@@ -188,8 +190,9 @@ def test_flat_check_matches_stab_matrix_on_chains(table):
             wrong_level = st._replace(level=st.level + rng.choice((-1, 1)))
             for cand, want in ((st, True), (off_by_two, False),
                                (wrong_level, False)):
-                assert verify_stabilizes(cand, state) is want, cand
-                assert (stab_matrix(cand).apply(state) == state) is want
+                assert verify_stabilizes(cand, m) is want, cand
+                ms = stab_matrix(cand) * m
+                assert ((ms.e00, ms.e10) == (m.e00, m.e10)) is want
 
 
 def test_stab_matrix_is_hermitian_combination():
