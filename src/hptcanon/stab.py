@@ -199,8 +199,8 @@ def verify_stabilizes(st, m):
         raise TypeError("verify_stabilizes() m must be a UMat2, "
                         f"not {type(m).__name__}")
     u, v = m._key[1:5], m._key[9:13]
-    n = ring._mat_mul((0, *_numerators(st)), (0, *u, 0, 0, 0, 0, *v,
-                                              0, 0, 0, 0))
+    n = ring._mat_mul((0, *_numerators(st)),
+                      (0, *u, 0, 0, 0, 0, *v, 0, 0, 0, 0))
     level = st.level
     return n[1:5] + n[9:13] == (ring._scaled(*u, level)
                                 + ring._scaled(*v, level))

@@ -165,7 +165,7 @@ def test_oracle_matches_naive_closure_small(table, r_rules):
 
 def test_oracle_partial_scalar_orbits():
     # <P> holds no scalar but the identity, and every element is
-    # diagonal: D is the whole group, and the cosets of D are one.
+    # diagonal: D is the whole group, with one coset.
     p_table = build_group([("P", ring.P)])
     assert p_table.scalar_ids == (0,)
     for n in range(0, 4):
