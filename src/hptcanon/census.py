@@ -34,6 +34,8 @@ class CensusReport(NamedTuple):
 
 
 def _check_n(n):
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 

@@ -134,16 +134,21 @@ def build_group(generators, limit=10000):
     grows (parent and last generator of each element) is kept on the
     table.
 
-    Raises ClosureExceedsLimit if more than `limit` distinct elements
-    appear, so a typo'd generator set cannot loop forever.  T is the
-    non-Clifford gate used for the conjugation subgroup and cosets.
+    A name that is not one letter raises ValueError, and a matrix that is
+    not a UMat2 raises TypeError.  Raises ClosureExceedsLimit if more than
+    `limit` distinct elements appear, so a typo'd generator set cannot
+    loop forever.  T is the non-Clifford gate used for the conjugation
+    subgroup and cosets.
     """
     gens = [(name, mat) for name, mat in generators]
     if not gens:
         raise ValueError("at least one generator required")
-    for name, _ in gens:
+    for name, mat in gens:
         if len(name) != 1:
             raise ValueError(f"generator names must be single letters: {name!r}")
+        if not isinstance(mat, UMat2):
+            raise TypeError(f"generator {name!r} must be a UMat2, "
+                            f"not {type(mat).__name__}")
 
     keys = [ring.IDENTITY.scaled_key()]
     words = [""]

@@ -105,11 +105,12 @@ def evaluate(circuit, gates=ring.GATES):
     GroupTable.gates hold) rotate the coefficients of column 1 by omega
     and omega**2, the ring's own H replaces the columns by their sum and
     difference with k + 1, and any other matrix, equal to one of them or
-    not, takes the exact generic flat product.  The mapping is read at
-    each gate, so a caller's later change to it is always seen.  These
-    steps are inline, not calls of ring._gate_mul, which takes the same
-    H and P steps: evaluate stays an independent oracle for the ring
-    code, and a call per gate would cost it a frame per gate.
+    not, takes the exact generic flat product; a gate that is not a UMat2
+    raises TypeError.  The mapping is read at each gate, so a caller's
+    later change to it is always seen.  These steps are inline, not calls
+    of ring._gate_mul, which takes the same H and P steps: evaluate stays
+    an independent oracle for the ring code, and a call per gate would
+    cost it a frame per gate.
     """
     T, H, P = ring.T, ring.H, ring.P
     k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0
@@ -144,6 +145,9 @@ def evaluate(circuit, gates=ring.GATES):
         elif m is P:
             # P: column 1 times omega**2 = i.
             a1, b1, c1, d1, a3, b3, c3, d3 = -c1, -d1, a1, b1, -c3, -d3, a3, b3
+        elif not isinstance(m, ring.UMat2):
+            raise TypeError(f"evaluate() gate {ch!r} must be a UMat2, "
+                            f"not {type(m).__name__}")
         else:
             (k, a0, b0, c0, d0, a1, b1, c1, d1,
              a2, b2, c2, d2, a3, b3, c3, d3) = ring._mat_mul(

@@ -6,7 +6,9 @@ sqrt2 = omega - omega**3.  All single-qubit matrices generated by H, P
 and T have entries of this shape, so circuit evaluation never leaves
 the ring and equality is decidable structurally.
 
-A UMat2 is kept flat, as the tuple (k, 16 integers) of its four entries'
+A RingElem is one such value in canonical form, and nothing more: it
+has no arithmetic.  Every product is taken on UMat2 keys.  A UMat2 is
+kept flat, as the tuple (k, 16 integers) of its four entries'
 numerators over one common sqrt2**k with k as small as possible
 (Kliuchnikov, Maslov and Mosca, arXiv:1206.5236).  A product is then
 eight numerator convolutions and one joint reduction, with no
@@ -66,43 +68,28 @@ def _not_ring_elems(owner: str, entries: tuple) -> TypeError:
 class RingElem:
     """One ring value, always stored in canonical form.
 
+    A value, not an arithmetic type: every product is taken on UMat2 keys.
     The constructor canonicalizes, so two equal values are structurally
-    identical and hash alike.  Global phase is significant: omega * x != x.
+    identical and hash alike.  Global phase is significant.  Coefficients
+    and exponent must be int; anything else raises TypeError.
     """
 
     __slots__ = ("_a", "_b", "_c", "_d", "_k")
 
     def __init__(self, a: int, b: int, c: int, d: int, k: int = 0) -> None:
+        for v in (a, b, c, d, k):
+            if not isinstance(v, int):
+                raise TypeError("RingElem() coefficients and exponent must "
+                                f"be int, not {type(v).__name__}")
         if k < 0:
             raise ValueError(f"denominator exponent must be >= 0, got {k}")
         self._a, self._b, self._c, self._d, self._k = _reduced(a, b, c, d, k)
 
-    @classmethod
-    def _raw(cls, a: int, b: int, c: int, d: int, k: int) -> RingElem:
-        # Internal: wrap coefficients already known to be canonical.
-        self = object.__new__(cls)
-        self._a, self._b, self._c, self._d, self._k = a, b, c, d, k
-        return self
-
-    @property
-    def a(self) -> int:
-        return self._a
-
-    @property
-    def b(self) -> int:
-        return self._b
-
-    @property
-    def c(self) -> int:
-        return self._c
-
-    @property
-    def d(self) -> int:
-        return self._d
-
-    @property
-    def k(self) -> int:
-        return self._k
+    a = property(lambda self: self._a)
+    b = property(lambda self: self._b)
+    c = property(lambda self: self._c)
+    d = property(lambda self: self._d)
+    k = property(lambda self: self._k)
 
     @property
     def coeffs(self) -> tuple[int, int, int, int]:
@@ -117,50 +104,6 @@ class RingElem:
 
     def __hash__(self) -> int:
         return hash((self._a, self._b, self._c, self._d, self._k))
-
-    def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0 or self._c != 0 or self._d != 0
-
-    def __neg__(self) -> RingElem:
-        return RingElem._raw(-self._a, -self._b, -self._c, -self._d, self._k)
-
-    def __add__(self, other: RingElem) -> RingElem:
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        k0, k1 = self._k, other._k
-        x = self.coeffs
-        y = other.coeffs
-        if k0 < k1:
-            x = _scaled(*x, k1 - k0)
-            k0 = k1
-        elif k1 < k0:
-            y = _scaled(*y, k0 - k1)
-        return RingElem(x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3], k0)
-
-    def __sub__(self, other: RingElem) -> RingElem:
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: RingElem) -> RingElem:
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        a0, b0, c0, d0 = self._a, self._b, self._c, self._d
-        a1, b1, c1, d1 = other._a, other._b, other._c, other._d
-        # Negacyclic convolution: omega**4 = -1 folds degree >= 4 terms back
-        # with a sign flip.
-        return RingElem(
-            a0 * a1 - b0 * d1 - c0 * c1 - d0 * b1,
-            a0 * b1 + b0 * a1 - c0 * d1 - d0 * c1,
-            a0 * c1 + b0 * b1 + c0 * a1 - d0 * d1,
-            a0 * d1 + b0 * c1 + c0 * b1 + d0 * a1,
-            self._k + other._k,
-        )
-
-    def conj(self) -> RingElem:
-        # Complex conjugate: omega -> omega**-1 = -omega**3.  Preserves
-        # canonicality (the parity pattern is symmetric in b and d).
-        return RingElem._raw(self._a, -self._d, -self._c, -self._b, self._k)
 
     def to_complex(self) -> complex:
         # Float projection for diagnostics and cross-checks only; the
@@ -180,7 +123,8 @@ class RingElem:
 
 def _mat_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     # Flat 2x2 product of two keys: the exponents add, each output entry
-    # is a sum of two numerator products (as in RingElem.__mul__), and
+    # is a sum of two numerator products, each a negacyclic convolution
+    # (omega**4 = -1 folds degree >= 4 terms back with a sign flip), and
     # one joint sqrt2 reduction over all 16 numerators follows.
     (k, p0, q0, r0, s0, p1, q1, r1, s1,
      p2, q2, r2, s2, p3, q3, r3, s3) = x
@@ -302,10 +246,6 @@ class UMat2:
             return NotImplemented
         return UMat2._raw(_mat_mul(self._key, other._key))
 
-    def __neg__(self) -> UMat2:
-        k, *n = self._key
-        return UMat2._raw((k, *(-v for v in n)))
-
     def adjoint(self) -> UMat2:
         # Transpose, then conjugate each entry: (a, b, c, d) -> (a, -d, -c,
         # -b).  Conjugation keeps every entry's sqrt2 divisibility, so the
@@ -397,23 +337,20 @@ class StateVec:
         return f"StateVec({self.c0!r}, {self.c1!r})"
 
 
-_ZERO = RingElem._raw(0, 0, 0, 0, 0)
-
-ZERO = _ZERO
+ZERO = RingElem(0, 0, 0, 0)
 ONE = RingElem(1, 0, 0, 0)
 OMEGA = RingElem(0, 1, 0, 0)
 I_UNIT = RingElem(0, 0, 1, 0)
-SQRT2 = RingElem(0, 1, 0, -1)
 SQRT2_INV = RingElem(1, 0, 0, 0, 1)
 
 IDENTITY = UMat2(ONE, ZERO, ZERO, ONE)
-H = UMat2(SQRT2_INV, SQRT2_INV, SQRT2_INV, -SQRT2_INV)
+H = UMat2(SQRT2_INV, SQRT2_INV, SQRT2_INV, RingElem(-1, 0, 0, 0, 1))
 P = UMat2(ONE, ZERO, ZERO, I_UNIT)
 T = UMat2(ONE, ZERO, ZERO, OMEGA)
-R = UMat2(SQRT2_INV, SQRT2_INV, -SQRT2_INV, SQRT2_INV)
+R = UMat2(SQRT2_INV, SQRT2_INV, RingElem(-1, 0, 0, 0, 1), SQRT2_INV)
 PAULI_X = UMat2(ZERO, ONE, ONE, ZERO)
-PAULI_Y = UMat2(ZERO, -I_UNIT, I_UNIT, ZERO)
-PAULI_Z = UMat2(ONE, ZERO, ZERO, -ONE)
+PAULI_Y = UMat2(ZERO, RingElem(0, 0, -1, 0), I_UNIT, ZERO)
+PAULI_Z = UMat2(ONE, ZERO, ZERO, RingElem(-1, 0, 0, 0))
 
 # Read-only: evaluate reads it as its default gate set.
 GATES = MappingProxyType({"H": H, "P": P, "T": T})

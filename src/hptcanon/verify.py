@@ -325,7 +325,8 @@ def check_hp_cubed(ctx):
     omega_i = ring.UMat2(ring.OMEGA, ring.ZERO, ring.ZERO, ring.OMEGA)
     # omega**2 == i pins the phase at pi/4, not pi/8.
     ok = (hp3 == omega_i
-          and ring.OMEGA * ring.OMEGA == ring.I_UNIT
+          and omega_i * omega_i == ring.UMat2(ring.I_UNIT, ring.ZERO,
+                                              ring.ZERO, ring.I_UNIT)
           and table.element_id(hp3) in table.scalar_ids
           and hp3 != ring.IDENTITY)
     return _result("hp-cubed-scalar", t0, ok,

@@ -113,7 +113,9 @@ def test_stabilizer_chains_check_the_initial_axis(table, rules, monkeypatch):
     # Every initial axis with its sign flipped, from a cleared memo.  The
     # parity classes cannot see a sign; each chain's end check does.
     monkeypatch.setattr(stab, "_AXIS_MEMO", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(ring, "PAULI_Z", -ring.PAULI_Z)
+    minus_z = ring.UMat2(ring.RingElem(-1, 0, 0, 0), ring.ZERO, ring.ZERO,
+                         ring.ONE)
+    monkeypatch.setattr(ring, "PAULI_Z", minus_z)
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (res.ok, res.detail) == (
         False, "20 chains, 281 transition-law checks, 20 failures, "

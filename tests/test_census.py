@@ -271,6 +271,8 @@ def test_negative_n_is_rejected(table):
         brute_force_mn(-1, table)
     with pytest.raises(ValueError, match=msg):
         verify_uniqueness(-1, table)
+    with pytest.raises(TypeError, match="n must be an int, not float"):
+        count_closed_form(1.5)
 
 
 def test_verify_uniqueness_with_oracle(table):

@@ -250,11 +250,13 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
-# `hptcanon stab` on 24 seeded circuits of 0..200 gates.
-_RNG = random.Random(20261018)
-_STAB_RUNS = tuple(
-    ("stab", "".join(_RNG.choice("HPT") for _ in range(_RNG.randint(0, 200))))
-    for _ in range(24))
+def _seeded_runs(command, seed):
+    # `hptcanon <command>` on 24 seeded circuits of 0..200 gates.
+    rng = random.Random(seed)
+    return tuple(
+        (command, "".join(rng.choice("HPT") for _ in range(rng.randint(0, 200))))
+        for _ in range(24))
+
 
 # sha256 of the joined stdout of command runs that print whole tables; any
 # change to these digests is a change to the CLI's output.
@@ -267,8 +269,10 @@ _STDOUT_SHA256 = {
         "2fd87744f35348d76d780f94692a0ada999f2c8191f42a7a7edc3d85a5ad7817",
     (("count", "4", "--oracle"),):
         "6f2edf77123b410bcc2e570452d7e7d5a69e846ff39917930f28b1cc30eac2de",
-    _STAB_RUNS:
+    _seeded_runs("stab", 20261018):
         "440b615fb697086b0f338dc74995a4cfc4582114097b318acf87728ae3640538",
+    _seeded_runs("matrix", 20261019):
+        "2bb6cbba79859a053218459f506d5805f23c89425ac36075b37841b352cc0c97",
 }
 
 

@@ -22,6 +22,11 @@ def test_single_generator_identity_group():
     assert t.words == [""]
 
 
+def test_build_group_refuses_non_matrix_generators():
+    with pytest.raises(TypeError, match="generator 'H' must be a UMat2, not int"):
+        build_group([("H", 5)])
+
+
 def test_closure_limit_enforced():
     with pytest.raises(ClosureExceedsLimit):
         build_group([("H", ring.H), ("P", ring.P)], limit=100)
@@ -157,17 +162,15 @@ def test_coset_tag_unique(table):
 
 def test_scalar_subgroup(table, r_rules):
     assert table.word_id("HPHPHP") in table.scalar_ids
-    # the eighth roots of unity
-    expected, w = set(), ring.ONE
-    for _ in range(8):
-        expected.add(w)
-        w = w * ring.OMEGA
+    # the eighth roots of unity, +-omega**j for j = 0..3
+    expected = {ring.RingElem(*(s * (j == i) for j in range(4)))
+                for i in range(4) for s in (1, -1)}
     p_table = build_group([("P", ring.P)])
     for tab, want in ((table, expected), (r_rules.table, expected),
                       (p_table, {ring.ONE})):
         # The entry-wise definition, element by element.
         scalars = tuple(i for i, m in enumerate(tab.elements)
-                        if not m.e01 and not m.e10 and m.e00 == m.e11)
+                        if m.e01 == m.e10 == ring.ZERO and m.e00 == m.e11)
         assert tab.scalar_ids == scalars
         assert {tab.elements[sid].e00 for sid in scalars} == want
 

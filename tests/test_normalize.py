@@ -83,6 +83,8 @@ def test_evaluate_rejects_unknown_gate():
         evaluate("HXT")
     with pytest.raises(ValueError, match="gate 'H' not in this basis"):
         evaluate("TH", {"T": ring.T})
+    with pytest.raises(TypeError, match="gate 'X' must be a UMat2, not int"):
+        evaluate("X", {"X": 3})
 
 
 def test_evaluate_reads_the_gates_mapping_at_each_call(table):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hptcanon import ring
+from hptcanon import census, ring
 from hptcanon.ring import RingElem, StateVec, UMat2
 
 OMEGA_C = cmath.exp(1j * math.pi / 4)
@@ -22,27 +22,16 @@ def close(x, y, tol=1e-9):
     return abs(x - y) <= tol * (1 + abs(x) + abs(y))
 
 
-def test_omega_powers():
-    omega3 = RingElem(0, 0, 0, 1)
-    assert ring.OMEGA * omega3 == -ring.ONE
-    assert ring.OMEGA * ring.OMEGA == ring.I_UNIT
-    # omega - omega**3 is sqrt(2)
-    assert ring.OMEGA - omega3 == ring.SQRT2
-
-
-def test_half_stays_at_denominator_exponent_two():
-    half = ring.SQRT2_INV * ring.SQRT2_INV
-    assert half.coeffs == (1, 0, 0, 0)
-    assert half.k == 2  # (1,0): parities differ, no reduction applies
-
-
 def test_sqrt2_multiplication_map():
+    # _scaled multiplies a numerator by sqrt2**m; the float value agrees.
     rng = random.Random(7)
     for _ in range(200):
         a, b, c, d = (rng.randint(-100, 100) for _ in range(4))
-        prod = RingElem(a, b, c, d) * ring.SQRT2
-        assert prod.coeffs == (b - d, a + c, b + d, c - a)
-        assert prod.k == 0
+        assert ring._scaled(a, b, c, d, 1) == (b - d, a + c, b + d, c - a)
+        x = RingElem(a, b, c, d).to_complex()
+        for m in range(6):
+            up = RingElem(*ring._scaled(a, b, c, d, m)).to_complex()
+            assert close(up, x * math.sqrt(2) ** m)
 
 
 def test_canonicalize_examples():
@@ -50,11 +39,17 @@ def test_canonicalize_examples():
     assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 0, 0, 0)
     e = RingElem(1, 0, 0, 0, 0)
     assert (e.a, e.b, e.c, e.d, e.k) == (1, 0, 0, 0, 0)
-    # (1,1,1,1)/sqrt2 reduces once; multiply the result back by sqrt2 to
+    # 1/2 and omega/sqrt2 stay: sqrt2 divides a numerator only when both
+    # a = c and b = d (mod 2).
+    e = RingElem(1, 0, 0, 0, 2)
+    assert (e.a, e.b, e.c, e.d, e.k) == (1, 0, 0, 0, 2)
+    e = RingElem(0, 1, 0, 0, 1)
+    assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 0, 0, 1)
+    # (1,1,1,1)/sqrt2 reduces once; scale the result back by sqrt2 to
     # confirm the numerator is recovered.
     e = RingElem(1, 1, 1, 1, 1)
     assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 1, 0, 0)
-    assert e * ring.SQRT2 == RingElem(1, 1, 1, 1, 0)
+    assert ring._scaled(*e.coeffs, 1) == (1, 1, 1, 1)
 
 
 def test_canonicalize_idempotent_and_value_preserving():
@@ -70,51 +65,13 @@ def test_canonicalize_idempotent_and_value_preserving():
         assert close(e.to_complex(), raw)
 
 
-def test_conjugation():
-    omega3 = RingElem(0, 0, 0, 1)
-    assert ring.OMEGA.conj() == -omega3
-    assert ring.ONE.conj() == ring.ONE
-    assert ring.I_UNIT.conj() == -ring.I_UNIT
-    rng = random.Random(13)
-    for _ in range(100):
-        e = rand_elem(rng)
-        assert e.conj().coeffs == (e.a, -e.d, -e.c, -e.b)
-        assert close(e.conj().to_complex(), e.to_complex().conjugate())
-
-
-def test_mul_matches_complex_arithmetic():
-    rng = random.Random(17)
-    for _ in range(2000):
-        x, y = rand_elem(rng, 3), rand_elem(rng, 3)
-        assert close((x * y).to_complex(), x.to_complex() * y.to_complex(),
-                     tol=1e-12)
-
-
-def test_mul_associative_and_commutative():
-    rng = random.Random(19)
-    for _ in range(10000):
-        x, y, z = rand_elem(rng), rand_elem(rng), rand_elem(rng)
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-
-
 def test_sqrt2_roundtrip():
+    # A numerator scaled by sqrt2**m over an exponent m higher reduces back.
     rng = random.Random(23)
     for _ in range(300):
         x = rand_elem(rng, 4)
-        up = x * ring.SQRT2
-        assert RingElem(up.a, up.b, up.c, up.d, up.k + 1) == x
-
-
-def test_addition_aligns_denominators():
-    x = RingElem(1, 0, 0, 0, 1)   # 1/sqrt2
-    y = RingElem(1, 0, 0, 0, 1)
-    assert x + y == ring.SQRT2    # 2/sqrt2 = sqrt2
-    assert x - y == ring.ZERO
-    rng = random.Random(29)
-    for _ in range(300):
-        a, b = rand_elem(rng, 3), rand_elem(rng, 3)
-        assert close((a + b).to_complex(), a.to_complex() + b.to_complex())
+        m = rng.randint(1, 4)
+        assert RingElem(*ring._scaled(*x.coeffs, m), x.k + m) == x
 
 
 def test_gate_products():
@@ -130,7 +87,7 @@ def test_adjoints():
                                      neg_omega3)
     assert ring.H.adjoint() == ring.H
     assert ring.P.adjoint() == UMat2(ring.ONE, ring.ZERO, ring.ZERO,
-                                     -ring.I_UNIT)
+                                     RingElem(0, 0, -1, 0))
 
 
 def test_apply():
@@ -139,10 +96,12 @@ def test_apply():
     assert ring.PAULI_X.apply(ring.KET0) == StateVec(ring.ZERO, ring.ONE)
 
 
-def _apply_by_entries(m, state):
-    # Per-entry reference: each amplitude is a sum of two RingElem products.
-    return StateVec(m.e00 * state.c0 + m.e01 * state.c1,
-                    m.e10 * state.c0 + m.e11 * state.c1)
+def _apply_by_flat_mul(m, state):
+    # Reference from census's independent flat product: the state padded
+    # to a matrix with a zero column 1, then column 0 of the product.
+    pad = UMat2(state.c0, ring.ZERO, state.c1, ring.ZERO).scaled_key()
+    key = census._flat_mul(m.scaled_key(), pad)
+    return StateVec(RingElem(*key[1:5], key[0]), RingElem(*key[9:13], key[0]))
 
 
 def test_apply_matches_per_entry_formula(table):
@@ -153,7 +112,7 @@ def test_apply_matches_per_entry_formula(table):
     for m in table.elements:
         for s in states:
             got = m.apply(s)
-            want = _apply_by_entries(m, s)
+            want = _apply_by_flat_mul(m, s)
             assert got == want and hash(got) == hash(want)
             assert (got.c0, got.c1) == (want.c0, want.c1)
 
@@ -166,14 +125,14 @@ def test_state_equality_across_mixed_exponents():
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert (c.c0, c.c1) == (ring.SQRT2_INV, ring.ONE)
     assert a != StateVec(ring.ONE, ring.SQRT2_INV)
-    assert a != StateVec(ring.SQRT2_INV, -ring.ONE)
+    assert a != StateVec(ring.SQRT2_INV, RingElem(-1, 0, 0, 0))
     rng = random.Random(41)
     for _ in range(300):
         x, y = rand_elem(rng, 4), rand_elem(rng, 4)
         s = StateVec(x, y)
         assert (s.c0, s.c1) == (x, y)
-        up = StateVec(x * ring.SQRT2 * ring.SQRT2_INV,
-                      y * ring.SQRT2_INV * ring.SQRT2)
+        up = StateVec(RingElem(*ring._scaled(*x.coeffs, 2), x.k + 2),
+                      RingElem(*ring._scaled(*y.coeffs, 1), y.k + 1))
         assert up == s and hash(up) == hash(s)
 
 
@@ -186,6 +145,12 @@ def test_ring_types_refuse_other_arguments():
         ring.H.apply((1, 0))
     with pytest.raises(TypeError, match="must be a StateVec, not UMat2"):
         ring.H.apply(ring.H)
+    # Coefficients and exponent must be ints: a string would otherwise
+    # reach a UMat2 key.
+    for args, name in (((1.5, 0, 0, 0), "float"), (("a", 0, 0, 0), "str"),
+                       ((1, 0, 0, 0, 1.0), "float")):
+        with pytest.raises(TypeError, match=f"RingElem.*be int, not {name}"):
+            RingElem(*args)
 
 
 def test_words_up_to_seven_are_unitary_and_normalized():
@@ -197,10 +162,10 @@ def test_words_up_to_seven_are_unitary_and_normalized():
             for g in "HPT":
                 prod = m * ring.GATES[g]
                 nxt.append(prod)
+                # prod * prod^dagger = I gives column 0 norm 1, and
+                # column 0 is the state prod|0>.
                 assert prod * prod.adjoint() == ring.IDENTITY
-                state = prod.apply(ring.KET0)
-                norm = state.c0 * state.c0.conj() + state.c1 * state.c1.conj()
-                assert norm == ring.ONE
+                assert prod.apply(ring.KET0) == StateVec(prod.e00, prod.e10)
         frontier = nxt
 
 
@@ -257,7 +222,8 @@ def test_matrix_from_mixed_exponent_entries_matches_products():
     one = RingElem(2, 0, 0, 0, 2)                  # 2/2
     root = RingElem(0, 2, 0, -2, 2)                # 2*sqrt2/2
     diag = UMat2(one, ring.ZERO, ring.ZERO, root)  # diag(1, sqrt2)
-    built = UMat2(ring.SQRT2_INV, ring.ONE, ring.SQRT2_INV, -ring.ONE)
+    built = UMat2(ring.SQRT2_INV, ring.ONE, ring.SQRT2_INV,
+                  RingElem(-1, 0, 0, 0))
     assert [e.k for e in built.entries] == [1, 0, 1, 0]
     assert built == ring.H * diag and hash(built) == hash(ring.H * diag)
     rng = random.Random(31)

@@ -10,6 +10,7 @@ import pytest
 from hptcanon import ring, stab
 from hptcanon.group import build_group
 from hptcanon.normalize import Block, NormalForm, normal_form_matrix
+from hptcanon.ring import RingElem
 from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
                            classify, initial_stab, nonidentity_witness,
                            stab_matrix, stab_of_normal_form, stab_trace,
@@ -198,8 +199,9 @@ def test_flat_check_matches_stab_matrix_on_chains(table):
 def test_stab_matrix_is_hermitian_combination():
     st = StabTriple((1, 2), (0, -1), (3, 0), 2)
     m = stab_matrix(st)
-    assert m.e00 == -m.e11
-    assert m.e01 == m.e10.conj()
+    assert (m.e00, m.e11) == (RingElem(3, 0, 0, 0, 2), RingElem(-3, 0, 0, 0, 2))
+    assert (m.e01, m.e10) == (RingElem(1, 3, 0, -1, 2), RingElem(1, 1, 0, -3, 2))
+    assert m.adjoint() == m
     with pytest.raises(ValueError, match="level must be >= 0, got -1"):
         stab_matrix(st._replace(level=-1))
 
@@ -256,7 +258,5 @@ def test_stab_matrix_scaling_matches_level():
     # component (a, b) at level l denotes (a + b*sqrt2)/sqrt2**l
     st = StabTriple((0, 0), (0, -1), (0, 1), 2)
     m = stab_matrix(st)
-    half = ring.SQRT2_INV * ring.SQRT2_INV
-    sqrt2 = ring.SQRT2
-    assert m.e00 == sqrt2 * half            # z = sqrt2/2
-    assert m.e01 == ring.I_UNIT * (sqrt2 * half)   # -i*y = i*sqrt2/2
+    assert m.e00 == ring.SQRT2_INV                 # z = sqrt2/2 = 1/sqrt2
+    assert m.e01 == RingElem(0, 0, 1, 0, 1)        # -i*y = i/sqrt2
