@@ -4,7 +4,9 @@ asserts that its checks from the session's one `verify.run_all()` pass
 with exactly the expected detail, whose counts pin the corpora and whose
 budget words pin the 1 s / 10 s / 30 s bounds.  Every test records its
 PASS/FAIL verdict before asserting, so the terminal summary always shows
-all eleven outcomes."""
+all eleven outcomes.  The other tests here feed the checks a wrong input
+and assert the failing verdict and detail: a check that cannot fail
+proves nothing."""
 
 import types
 import weakref
@@ -12,6 +14,7 @@ import weakref
 import pytest
 
 from hptcanon import ring, rules as rules_mod, stab, verify
+from hptcanon.group import build_group
 from hptcanon.normalize import Block
 
 
@@ -44,6 +47,45 @@ def test_criterion_3_rule_tables(accept):
                          "0 identity failures",
         "appendix-fixture": "192 rows, 0 mismatches",
     })
+
+
+# H given P's W1: the detail each rule-dependent check gets.
+_WRONG_RULE_DETAILS = {
+    "check_rules": "192 rules, sections [64, 64, 64], 1 identity failures",
+    "check_appendix": "192 rows, 1 mismatches; first: HT = HT: W1 differs "
+                      "from derived rule",
+    "check_soundness": "13280 words, 7175 failures, within 30s budget",
+    "check_tcount_minimality": "303 matrices over words <=7, "
+                               "0 beaten minima, 52 unattained witnesses",
+    "check_inverse_tcount": "4224 normal forms <= 3 blocks, 66 failures",
+}
+
+
+def test_a_wrong_rule_fails_each_rule_check(table, rules):
+    assert table.words[1:3] == ["H", "P"]
+    w1 = list(rules.w1_ids)
+    w1[1] = rules.w1_ids[2]
+    ctx = {"table": table, "rules": rules_mod.RuleTable(table, tuple(w1))}
+    for name, detail in _WRONG_RULE_DETAILS.items():
+        res = getattr(verify, name)(ctx)
+        assert (res.ok, res.detail) == (False, detail), name
+
+
+@pytest.mark.parametrize("check, name, stub, detail", [
+    (verify.check_group_order, "build_standard_table",
+     lambda: build_group([("P", ring.P)]),
+     "order=4, fresh rebuild within 1s budget"),
+    (verify.check_coset_structure, "subgroup_ct", lambda table: frozenset(),
+     "|C_T|=64 cosets=[64, 64, 64] quotient=(8, abelian=False, "
+     "{1: 1, 4: 2, 2: 5})"),
+    (verify.check_hp_cubed, "evaluate", lambda word: ring.IDENTITY,
+     "(HP)^3 equals the omega scalar matrix exactly"),
+], ids=["group-order", "coset-structure", "hp-cubed-scalar"])
+def test_a_wrong_input_fails_its_check(table, rules, monkeypatch, check,
+                                       name, stub, detail):
+    monkeypatch.setattr(verify, name, stub)
+    res = check({"table": table, "rules": rules})
+    assert (res.ok, res.detail) == (False, detail)
 
 
 def test_criterion_4_counting(accept):

@@ -183,15 +183,14 @@ def test_evaluate_alternate_basis_matches_float_shadow():
 
 def test_missing_rules_is_a_named_type_error(table, rules, r_rules):
     r_table = r_rules.table
-    calls = [
-        lambda: normalize("HT", table),
-        lambda: normalize("RT", r_table),
-        lambda: invert("HT", table),
-        lambda: equivalent("HT", "TH", table),
-        lambda: t_count("HT", table),
-    ]
-    for call in calls:
-        with pytest.raises(TypeError, match="'rules' argument"):
+    for name, call in [
+        ("normalize", lambda: normalize("HT", table)),
+        ("normalize", lambda: normalize("RT", r_table)),
+        ("invert", lambda: invert("HT", table)),
+        ("equivalent", lambda: equivalent("HT", "TH", table)),
+        ("t_count", lambda: t_count("HT", table)),
+    ]:
+        with pytest.raises(TypeError, match=rf"^{name}\(\).*'rules' argument"):
             call()
     # A table with rules built for another table is refused by name.
     for name, call in [
@@ -225,13 +224,6 @@ def test_missing_rules_is_a_named_type_error(table, rules, r_rules):
         assert not equivalent(w, w + "T", rules=r_rules)
         inv = normal_form_matrix(invert(w, rules=r_rules), r_table)
         assert inv * m == ring.IDENTITY, w
-
-
-def test_missing_rules_error_names_the_function(table):
-    with pytest.raises(TypeError, match=r"^t_count\(\)"):
-        t_count("HT", table)
-    with pytest.raises(TypeError, match=r"^equivalent\(\)"):
-        equivalent("HT", "TH", table)
 
 
 def test_rules_alone_and_no_arguments_skip_the_resolver(monkeypatch,
@@ -293,19 +285,6 @@ def test_render(table):
                   table) == "PHT.HT|H"
 
 
-def test_roundtrip_and_idempotence(table, rules):
-    rng = random.Random(43)
-    words = ["".join(w) for k in range(0, 7)
-             for w in product("HPT", repeat=k)]
-    words += ["".join(rng.choice("HPT") for _ in range(rng.randrange(0, 41)))
-              for _ in range(2000)]
-    for w in words:
-        nf = normalize(w, table, rules)
-        text = render(nf, table)
-        assert evaluate(parse(text)) == evaluate(w)
-        assert normalize(parse(text), table, rules) == nf
-
-
 @pytest.mark.parametrize("density", [0.05, 0.33, 0.70])
 def test_long_words_agree_with_evaluate_and_invert(table, rules, density):
     rng = random.Random(int(density * 100))
@@ -350,11 +329,11 @@ def test_normal_form_matrix_agrees_with_render(table, rules):
 
 
 def _block_product_fold(nf, table):
-    # Generic reference: one ring product per block matrix S*T, with S the
-    # block's syndrome element, then the Clifford tail.
+    # Generic reference: one ring product per block matrix S*T (the
+    # table's block_matrices), then the Clifford tail.
     m = ring.IDENTITY
     for b in nf.blocks:
-        m = m * (table.elements[table.syndrome_ids[b]] * table.t_mat)
+        m = m * table.block_matrices[b]
     return m * table.elements[nf.cliff]
 
 
@@ -431,12 +410,6 @@ def test_invert_examples(table, rules):
 def test_invert_rejects_unknown_gate(table, rules):
     with pytest.raises(ValueError, match="gate 'X' not in this basis"):
         invert("HXT", table, rules)
-
-
-def test_invert_preserves_block_count_up_to_four(table, rules):
-    for nf in census.enumerate_normal_forms(4, table):
-        inv = invert(parse(render(nf, table)), table, rules)
-        assert len(inv.blocks) == len(nf.blocks)
 
 
 class _CountingRow:

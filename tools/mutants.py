@@ -1,0 +1,331 @@
+"""Mutation gate: every row below is a small wrong edit of the source, and
+the test suite must fail on each one.
+
+    python tools/mutants.py
+
+Run it from anywhere; it takes no arguments.  It first runs the suite on
+an unmutated copy, which must pass.  Then, for each row, it copies src/,
+tests/ and pyproject.toml into a fresh temporary directory (without
+__pycache__), replaces the row's old text, which must occur exactly once
+in its file, by the new text, and runs `python -m pytest -x -q` there.
+A mutant is killed when pytest fails.  One line per row reports killed
+or SURVIVED, the seconds taken and, for a killed mutant, the first test
+that failed.  The exit status is 1 when the clean copy fails, any row's
+old text does not occur exactly once, or any mutant survives; otherwise
+0.
+
+A row names the mutant by the claim it breaks.  Only mutants that change
+behaviour belong here: an equivalent mutant (one no test can tell from
+the original) survives by right, so it is recorded in CHANGES.md
+instead.  Standard library only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+
+
+MUTANTS = (
+    # ring: the exact core.
+    Mutant("_gate_mul: the P step rotates column 1 by i",
+           "src/hptcanon/ring.py",
+           "return (k, a0, b0, c0, d0, -c1, -d1, a1, b1,",
+           "return (k, a0, b0, c0, d0, c1, -d1, a1, b1,"),
+    Mutant("_gate_mul: the H step reduces by sqrt2",
+           "src/hptcanon/ring.py",
+           "    while k and not ((a0 ^ c0) | (b0 ^ d0) | (a1 ^ c1) | (b1 ^ d1)",
+           "    while False and not ((a0 ^ c0) | (b0 ^ d0) | (a1 ^ c1) | (b1 ^ d1)"),
+    Mutant("H has -1/sqrt2 in e11",
+           "src/hptcanon/ring.py",
+           "H = UMat2(SQRT2_INV, SQRT2_INV, SQRT2_INV, RingElem(-1, 0, 0, 0, 1))",
+           "H = UMat2(SQRT2_INV, SQRT2_INV, SQRT2_INV, SQRT2_INV)"),
+    Mutant("_reduced: sqrt2 divides only when a = c and b = d (mod 2)",
+           "src/hptcanon/ring.py",
+           "while k > 0 and (a - c) % 2 == 0 and (b - d) % 2 == 0:",
+           "while k > 0 and (a - c) % 2 == 0:"),
+    Mutant("_scaled: the odd sqrt2 step",
+           "src/hptcanon/ring.py",
+           "a, b, c, d = b - d, a + c, b + d, c - a",
+           "a, b, c, d = b + d, a + c, b + d, c - a"),
+    Mutant("_mat_mul: omega**4 = -1 folds with a sign",
+           "src/hptcanon/ring.py",
+           "e0 = p0*a0 - q0*d0",
+           "e0 = p0*a0 + q0*d0"),
+    # group: closure and derived tables.
+    Mutant("right_products walks from each element's parent",
+           "src/hptcanon/group.py",
+           "append(_gate_mul(out[p], gate))",
+           "append(_gate_mul(out[-1], gate))"),
+    Mutant("a block matrix is S*T, not off by a phase",
+           "src/hptcanon/group.py",
+           "elements[sid] * t_mat for sid in syndrome_ids)",
+           "elements[sid] * t_mat * ring.UMat2(ring.OMEGA, ring.ZERO, "
+           "ring.ZERO, ring.OMEGA) for sid in syndrome_ids)"),
+    Mutant("one letter_step entry is elements[i] * generator",
+           "src/hptcanon/group.py",
+           "self.letter_step = dict(zip(gen_names, gen_step))",
+           "self.letter_step = dict(zip(gen_names, [gen_step[0][:5] + "
+           "gen_step[0][6:7] + gen_step[0][6:], *gen_step[1:]]))"),
+    Mutant("a mul column steps by its element's last generator",
+           "src/hptcanon/group.py",
+           "columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))",
+           "columns.append(itemgetter(*columns[parent[j]])(gen_step[0]))"),
+    Mutant("t_conj steps by its element's last generator",
+           "src/hptcanon/group.py",
+           "conj.append(conj[parent[j]] * gen_conj[last[j]])",
+           "conj.append(conj[parent[j]] * gen_conj[0])"),
+    Mutant("an element in two syndrome cosets has no slot",
+           "src/hptcanon/group.py",
+           "matches[0] if len(matches) == 1 else None",
+           "matches[0] if matches else None"),
+    Mutant("quotient_profile reports an abelian quotient",
+           "src/hptcanon/group.py",
+           "abelian = all(qmul(a, b) == qmul(b, a) for a in reps for b in rep_set)",
+           "abelian = False"),
+    # rules: derivation and the fixture check.
+    Mutant("one w1_ids entry is the derived W1",
+           "src/hptcanon/rules.py",
+           "return RuleTable(table, tuple(w1_ids))",
+           "return RuleTable(table, (w1_ids[0], w1_ids[2], *w1_ids[2:]))"),
+    Mutant("one rules.merge entry is X*P",
+           "src/hptcanon/rules.py",
+           "self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)",
+           "self.merge = tuple(mul[mul[sid][p_id]] for sid in "
+           "table.syndrome_ids[:2]) + (mul[table.syndrome_ids[2]],)"),
+    Mutant("check_fixture compares the row's syndrome",
+           "src/hptcanon/rules.py",
+           "        if rules.slots[w0] != slot:\n            problems",
+           "        if False:\n            problems"),
+    Mutant("check_fixture compares the row's W1",
+           "src/hptcanon/rules.py",
+           "if table.elements[rules.w1_ids[w0]] != w1_mat:",
+           "if False:"),
+    Mutant("emit_rules writes no I before the T",
+           "src/hptcanon/rules.py",
+           'prefix = "" if label == "I" else label',
+           "prefix = label"),
+    # normalize: parse, evaluate, the fold and the guard.
+    Mutant("evaluate's T step multiplies column 1 by omega",
+           "src/hptcanon/normalize.py",
+           "a1, b1, c1, d1, a3, b3, c3, d3 = -d1, a1, b1, c1, -d3, a3, b3, c3",
+           "a1, b1, c1, d1, a3, b3, c3, d3 = d1, a1, b1, c1, -d3, a3, b3, c3"),
+    Mutant("_rules refuses a table that is not rules.table",
+           "src/hptcanon/normalize.py",
+           "    if table is None:\n        return rules\n",
+           "    if True:\n        return rules\n"),
+    Mutant("a merge reads the rule's W1",
+           "src/hptcanon/normalize.py",
+           "pending = merge[blocks.pop()][w1s[pending]]",
+           "pending = merge[blocks.pop()][pending]"),
+    Mutant("parse skips the '|' separator",
+           "src/hptcanon/normalize.py",
+           '_IGNORED = str.maketrans("", "", "I.|")',
+           '_IGNORED = str.maketrans("", "", "I.")'),
+    Mutant("normal_form_matrix keeps the Clifford tail",
+           "src/hptcanon/normalize.py",
+           "return evaluate(word, table.gates) * tail",
+           "return evaluate(word, table.gates)"),
+    Mutant("invert writes T**-1 as T*P**3",
+           "src/hptcanon/normalize.py",
+           'inv_words["T"] = "T" + inv_words[table.gen_names[1]]',
+           'inv_words["T"] = "T"'),
+    # census: counting, enumeration and the oracle.
+    Mutant("the closed form holds at n = 13",
+           "src/hptcanon/census.py",
+           "return order * (3 * 2 ** n - 2)",
+           "return order * (3 * 2 ** n - 2) + (n == 13)"),
+    Mutant("enumeration reaches n blocks",
+           "src/hptcanon/census.py",
+           "for k in range(1, n + 1)))",
+           "for k in range(1, n)))"),
+    Mutant("_flat_mul: omega**4 = -1 folds with a sign",
+           "src/hptcanon/census.py",
+           "a0 = xa0*ya0 - xb0*yd0",
+           "a0 = xa0*ya0 + xb0*yd0"),
+    Mutant("_diagonal_powers: -omega**j is omega**(j + 4)",
+           "src/hptcanon/census.py",
+           "e.index(-1) + 4",
+           "e.index(-1)"),
+    Mutant("_row_rotations: row 1 of omega*row",
+           "src/hptcanon/census.py",
+           "(-d0, a0, b0, c0, -d1, a1, b1, c1),",
+           "(d0, a0, b0, c0, -d1, a1, b1, c1),"),
+    Mutant("the oracle's frontier is the last layer's orbits",
+           "src/hptcanon/census.py",
+           "frontier = _orbit_reps(new, pairs)",
+           "frontier = reps"),
+    # stab: the triples and their check.
+    Mutant("step_block: PHT's z_a is x_a - y_a",
+           "src/hptcanon/stab.py",
+           "nxt = (xa + ya, xb + yb), (2 * zb, za), (xa - ya, xb - yb)",
+           "nxt = (xa + ya, xb + yb), (2 * zb, za), (xa + ya, xb - yb)"),
+    Mutant("initial_stab: the y axis keeps its sign",
+           "src/hptcanon/stab.py",
+           "st = StabTriple((key[9], 0), (key[11], 0), (key[1], 0), 0)",
+           "st = StabTriple((key[9], 0), (-key[11], 0), (key[1], 0), 0)"),
+    Mutant("_CLASS_BY_PARITY: the T1 row",
+           "src/hptcanon/stab.py",
+           "(0, 1, 0, 0, 0, 1): ParityClass.T1,",
+           "(0, 1, 0, 0, 0, 1): ParityClass.T2,"),
+    Mutant("_numerators: i*y in e10",
+           "src/hptcanon/stab.py",
+           "xa, xb - yb, -ya, -xb - yb,",
+           "xa, xb - yb, ya, -xb - yb,"),
+    Mutant("verify_stabilizes compares at the triple's level",
+           "src/hptcanon/stab.py",
+           "    level = st.level\n",
+           "    level = 0\n"),
+    # verify: the headline checks.
+    Mutant("_LAW: family A under HT goes to T2",
+           "src/hptcanon/verify.py",
+           '("A", Block.HT): stab.ParityClass.T2,',
+           '("A", Block.HT): stab.ParityClass.T1,'),
+    Mutant("stabilizer-chains ends on the form's matrix",
+           "src/hptcanon/verify.py",
+           "not stab.verify_stabilizes(trace[-1], m)",
+           "not stab.verify_stabilizes(trace[-1], table.elements[cliff])"),
+    Mutant("stabilizer-chains needs a final parity class",
+           "src/hptcanon/verify.py",
+           "or prev is stab.ParityClass.OTHER",
+           "or False"),
+    Mutant("counting runs to n = 12",
+           "src/hptcanon/verify.py",
+           "def check_counting(ctx, nmax=12):",
+           "def check_counting(ctx, nmax=11):"),
+    Mutant("remark-r-basis fails without rules",
+           "src/hptcanon/verify.py",
+           '_result("remark-r-basis", t0, False, detail + "False")',
+           '_result("remark-r-basis", t0, True, detail + "False")'),
+    Mutant("remark-r-basis compares the round trips",
+           "src/hptcanon/verify.py",
+           "ok = all(normal_form_matrix(normalize(w, table, rules), table)",
+           "ok = True or all(normal_form_matrix(normalize(w, table, rules), table)"),
+    Mutant("group-order verdict reads the order",
+           "src/hptcanon/verify.py",
+           'ok = (table.order == 192 and table.words[0] == ""',
+           'ok = (table.words[0] == ""'),
+    Mutant("coset-structure verdict reads subgroup_ct",
+           "src/hptcanon/verify.py",
+           "          and subgroup_ct(table) == table.ct_ids\n",
+           ""),
+    Mutant("rewrite-rules verdict reads the identity failures",
+           "src/hptcanon/verify.py",
+           "section == [64, 64, 64] and bad == 0",
+           "section == [64, 64, 64]"),
+    Mutant("appendix-fixture verdict reads the mismatches",
+           "src/hptcanon/verify.py",
+           "ok = not problems and len(rows) == 192",
+           "ok = len(rows) == 192"),
+    Mutant("normalizer-soundness verdict reads the failures",
+           "src/hptcanon/verify.py",
+           "ok = failures == 0 and dt < 30.0",
+           "ok = dt < 30.0"),
+    Mutant("tcount-minimality verdict reads the unattained witnesses",
+           "src/hptcanon/verify.py",
+           "ok = beaten == 0 and unattained == 0",
+           "ok = beaten == 0"),
+    Mutant("inverse-tcount verdict reads the failures",
+           "src/hptcanon/verify.py",
+           '_result("inverse-tcount", t0, bad == 0,',
+           '_result("inverse-tcount", t0, True,'),
+    Mutant("hp-cubed-scalar verdict reads (HP)^3",
+           "src/hptcanon/verify.py",
+           '_result("hp-cubed-scalar", t0, ok,',
+           '_result("hp-cubed-scalar", t0, True,'),
+    # cli: the oracle cap, the tables and the exit code.
+    Mutant("count --oracle is capped above n = 4",
+           "src/hptcanon/cli.py",
+           "if args.oracle and args.n > 4:",
+           "if args.oracle and args.n >= 4:"),
+    Mutant("tables --dump-group tags each element by its slot",
+           "src/hptcanon/cli.py",
+           'tag = "S_" + table.syndrome_labels[table.coset_slots[gid]]',
+           'tag = "S_" + table.syndrome_labels[-table.coset_slots[gid]]'),
+    Mutant("verify exits 2 on a failed check",
+           "src/hptcanon/cli.py",
+           "return 0 if all(res.ok for res in results) else 2",
+           "return 0"),
+)
+
+
+def _copy_tree(dest):
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _apply(dest, mutant):
+    path = dest / mutant.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.path}: old text occurs {count} times, "
+                         f"not once: {mutant.old!r}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def _run_suite(mutant=None):
+    """Run the suite on a fresh copy, with `mutant` applied if given.
+    Returns (passed, seconds, the first failing test's id or "")."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if mutant is not None:
+            _apply(dest, mutant)
+        # The copy's own src/ only: never a checkout on the caller's path.
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q"],
+                              cwd=dest, env=env, capture_output=True,
+                              text=True)
+        seconds = time.perf_counter() - t0
+    # pytest's short summary names the failure: "FAILED <id> - ...".
+    first = next((line.split()[1] for line in done.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))), "")
+    return done.returncode == 0, seconds, first
+
+
+def main():
+    passed, seconds, first = _run_suite()
+    print(f"{'passed' if passed else 'FAILED':8} {seconds:5.1f}s  "
+          f"unmutated copy  {first}".rstrip(), flush=True)
+    if not passed:
+        return 1
+    survivors = 0
+    bad_rows = 0
+    for mutant in MUTANTS:
+        try:
+            passed, seconds, first = _run_suite(mutant)
+        except ValueError as exc:
+            bad_rows += 1
+            print(f"BAD ROW  {mutant.name}: {exc}", flush=True)
+            continue
+        survivors += passed
+        print(f"{'SURVIVED' if passed else 'killed':8} {seconds:5.1f}s  "
+              f"{mutant.path.rsplit('/', 1)[-1]}: {mutant.name}  "
+              f"{first}".rstrip(), flush=True)
+    print(f"{len(MUTANTS)} mutants: {survivors} survived, {bad_rows} bad rows")
+    return 1 if survivors or bad_rows else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
