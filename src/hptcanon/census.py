@@ -17,7 +17,6 @@ generator R (the pi/4 y-rotation) in place of H.
 from functools import partial
 from itertools import chain, groupby, product
 from operator import attrgetter
-from typing import NamedTuple
 
 from .normalize import Block, NormalForm, normal_form_matrix
 
@@ -25,12 +24,6 @@ from .normalize import Block, NormalForm, normal_form_matrix
 class VerificationFailure(Exception):
     """A uniqueness or counting check failed; the message carries the
     first counterexample."""
-
-
-class CensusReport(NamedTuple):
-    normal_form_count: int
-    distinct_matrix_count: int
-    oracle_count: int | None
 
 
 def _check_n(n):
@@ -218,7 +211,9 @@ def verify_uniqueness(n, table, with_oracle=True):
     """Evaluate every normal form with <= n blocks and check Theorem-1
     style uniqueness: all matrices pairwise distinct, counts equal to the
     closed forms, and (when enabled) the matrix set equal to the
-    brute-force oracle's.
+    brute-force oracle's.  Any mismatch raises VerificationFailure, so
+    the one count returned is the number of normal forms, of distinct
+    matrices and (when enabled) of oracle keys alike.
 
     Forms arrive grouped by block tuple, so the blocks' matrix is taken
     once per tuple, and one walk of the closure tree
@@ -252,15 +247,13 @@ def verify_uniqueness(n, table, with_oracle=True):
         raise VerificationFailure(
             f"total {total} != closed form {count_closed_form(n, order=order)}")
 
-    oracle_count = None
     if with_oracle:
         okeys, _ = brute_force_mn(n, table)
-        oracle_count = len(okeys)
         if set(seen) != okeys:
             extra = next(iter(set(seen) - okeys), None)
             missing = next(iter(okeys - set(seen)), None)
             raise VerificationFailure(
                 f"enumeration/oracle sets differ: enumerated-only key "
                 f"{extra}, oracle-only key {missing}")
-    return CensusReport(total, len(seen), oracle_count)
+    return total
 

@@ -44,34 +44,115 @@ class GroupTable:
     `t_conj[g]` is the id of T * elements[g] * T_adj, or None when that
     matrix is not an element; `ct_ids` is the set of g where it is not
     None.
-
-    The closure's breadth-first tree is kept: element j > 0 was first
-    reached as elements[parent[j]] times generator number last[j], and
-    parent[j] < j.  right_products walks that tree.
     """
 
-    def __init__(self, gens, elements, words, index, parent, last,
-                 gen_step, mul, inv, t_mat, t_conj, ct_ids, coset_slots,
-                 syndrome_ids, syndrome_labels, scalar_ids):
-        gen_names = tuple(name for name, _ in gens)
-        self.gen_names = gen_names
+    def __init__(self, generators, limit=10000):
+        """Close `generators` (sequence of (single-letter name, matrix)
+        pairs) under multiplication, breadth-first on flat keys: each
+        (element, generator) product is one ring._gate_mul step, a column
+        sum and difference for the ring's own H and a column rotation for
+        its own P.  Every other table is derived from the tree it grows,
+        which is kept for right_products.
+
+        A name that is not one letter raises ValueError, and a matrix that
+        is not a UMat2 raises TypeError.  Raises ClosureExceedsLimit if
+        more than `limit` distinct elements appear, so a typo'd generator
+        set cannot loop forever.  T is the non-Clifford gate used for the
+        conjugation subgroup and cosets.
+        """
+        gens = [(name, mat) for name, mat in generators]
+        if not gens:
+            raise ValueError("at least one generator required")
+        for name, mat in gens:
+            if len(name) != 1:
+                raise ValueError(
+                    f"generator names must be single letters: {name!r}")
+            if not isinstance(mat, UMat2):
+                raise TypeError(f"generator {name!r} must be a UMat2, "
+                                f"not {type(mat).__name__}")
+
+        keys = [ring.IDENTITY.scaled_key()]
+        words = [""]
+        ids = {keys[0]: 0}
+        # gen_step[pos][i] is the id of elements[i] * generator pos; element j
+        # is first reached as elements[parent[j]] * generator last[j].
+        gen_step = [[] for _ in gens]
+        parent = [None]
+        last = [None]
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            base = keys[i]
+            for pos, (name, mat) in enumerate(gens):
+                prod = _gate_mul(base, mat)
+                j = ids.get(prod)
+                if j is None:
+                    if len(keys) >= limit:
+                        raise ClosureExceedsLimit(limit)
+                    j = ids[prod] = len(keys)
+                    keys.append(prod)
+                    words.append(words[i] + name)
+                    parent.append(i)
+                    last.append(pos)
+                    queue.append(j)
+                gen_step[pos].append(j)
+        n = len(keys)
+        elements = [UMat2._raw(key) for key in keys]
+        index = dict(zip(elements, range(n)))
+        self.gen_names = gen_names = tuple(name for name, _ in gens)
         self.elements = elements
         self.words = words
         self.index = index
-        self.parent = parent
-        self.last = last
         # (parent, generator matrix) of each element j >= 1, in id order.
         self._tree = tuple(zip(parent[1:], [gens[g][1] for g in last[1:]]))
-        self.mul = mul
-        self.inv = inv
-        self.t_mat = t_mat
-        self.t_conj = t_conj
-        self.ct_ids = ct_ids
-        self.coset_slots = coset_slots
-        self.syndrome_ids = syndrome_ids
-        self.syndrome_labels = syndrome_labels
-        self.scalar_ids = scalar_ids
-        self.identity_id = 0
+
+        # Multiplication table, one column at a time: elements[i] * elements[j]
+        # = (elements[i] * elements[parent[j]]) * generator last[j], and
+        # parent[j] < j, so column j is column parent[j] looked up in one
+        # step table.  This costs table lookups only.
+        columns = [tuple(range(n))]
+        for j in range(1, n):
+            columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))
+        mul = self.mul = [list(row) for row in zip(*columns)]
+
+        # Each row is a permutation: the inverse is where it hits the identity.
+        inv = self.inv = [row.index(0) for row in mul]
+
+        # T-conjugation is multiplicative, so T * elements[j] * T_adj is the
+        # parent's conjugate times the generator's: one product per element.
+        t_mat = self.t_mat = ring.T
+        t_adj = t_mat.adjoint()
+        gen_conj = [(t_mat * mat) * t_adj for _, mat in gens]
+        conj = [ring.IDENTITY]
+        for j in range(1, n):
+            conj.append(conj[parent[j]] * gen_conj[last[j]])
+        t_conj = self.t_conj = tuple(map(index.get, conj))
+        ct_ids = self.ct_ids = frozenset(
+            i for i, c in enumerate(t_conj) if c is not None)
+
+        # Syndromes I, g0, g1*g0; with a single generator the second syndrome
+        # degenerates to g0*g0 so the triple stays well-formed (the coset
+        # decomposition is only meaningful for two-generator sets).
+        syn0 = gens[0][1]
+        second = gens[1] if len(gens) > 1 else gens[0]
+        syndrome_ids = self.syndrome_ids = (
+            0, index[syn0], index[second[1] * syn0])
+        syndrome_labels = self.syndrome_labels = (
+            "I", gens[0][0], second[0] + gens[0][0])
+
+        coset_slots = []
+        for g in range(n):
+            matches = [s for s, sid in enumerate(syndrome_ids)
+                       if mul[inv[sid]][g] in ct_ids]
+            coset_slots.append(matches[0] if len(matches) == 1 else None)
+        self.coset_slots = tuple(coset_slots)
+
+        # Scalars read off the flat key: both off-diagonal numerators zero and
+        # the diagonal numerators equal (over the key's common sqrt2**k).
+        self.scalar_ids = tuple(
+            i for i, key in enumerate(keys)
+            if not any(key[5:13]) and key[1:5] == key[13:17])
+
         # letter_step[name][i] is the id of elements[i] * generator `name`.
         self.letter_step = dict(zip(gen_names, gen_step))
         self.gen_ids = {name: row[0] for name, row in self.letter_step.items()}
@@ -93,17 +174,14 @@ class GroupTable:
         except KeyError:
             raise ValueError("matrix is not an element of this group") from None
 
-    def __contains__(self, mat):
-        return mat in self.index
-
     def right_products(self, key):
         """Keys of m * elements[j] for j = 0..order-1, where m is the
         matrix with canonical key `key` (UMat2.scaled_key()).
 
         One walk of the closure tree: m * elements[j] is
-        (m * elements[parent[j]]) * generator last[j], and parent[j] < j,
-        so each element costs one ring._gate_mul step from an earlier
-        entry, not a full product.
+        (m * elements[parent[j]]) * the generator that first reached j,
+        and parent[j] < j, so each element costs one ring._gate_mul step
+        from an earlier entry, not a full product.
         """
         out = [key]
         append = out.append
@@ -111,126 +189,10 @@ class GroupTable:
             append(_gate_mul(out[p], gate))
         return out
 
-    def word_id(self, word):
-        """Id of f(word) for a word over the generators."""
-        g = self.identity_id
-        steps = self.letter_step
-        for ch in word:
-            try:
-                step = steps[ch]
-            except KeyError:
-                raise ValueError(f"gate {ch!r} not in this basis") from None
-            g = step[g]
-        return g
-
-
-def build_group(generators, limit=10000):
-    """Close `generators` (sequence of (single-letter name, matrix) pairs)
-    under multiplication.
-
-    The closure is breadth-first on flat keys: each (element, generator)
-    product is one ring._gate_mul step, a column sum and difference for
-    the ring's own H and a column rotation for its own P.  The tree it
-    grows (parent and last generator of each element) is kept on the
-    table.
-
-    A name that is not one letter raises ValueError, and a matrix that is
-    not a UMat2 raises TypeError.  Raises ClosureExceedsLimit if more than
-    `limit` distinct elements appear, so a typo'd generator set cannot
-    loop forever.  T is the non-Clifford gate used for the conjugation
-    subgroup and cosets.
-    """
-    gens = [(name, mat) for name, mat in generators]
-    if not gens:
-        raise ValueError("at least one generator required")
-    for name, mat in gens:
-        if len(name) != 1:
-            raise ValueError(f"generator names must be single letters: {name!r}")
-        if not isinstance(mat, UMat2):
-            raise TypeError(f"generator {name!r} must be a UMat2, "
-                            f"not {type(mat).__name__}")
-
-    keys = [ring.IDENTITY.scaled_key()]
-    words = [""]
-    ids = {keys[0]: 0}
-    # gen_step[pos][i] is the id of elements[i] * generator pos; element j
-    # is first reached as elements[parent[j]] * generator last[j].
-    gen_step = [[] for _ in gens]
-    parent = [None]
-    last = [None]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        base = keys[i]
-        for pos, (name, mat) in enumerate(gens):
-            prod = _gate_mul(base, mat)
-            j = ids.get(prod)
-            if j is None:
-                if len(keys) >= limit:
-                    raise ClosureExceedsLimit(limit)
-                j = ids[prod] = len(keys)
-                keys.append(prod)
-                words.append(words[i] + name)
-                parent.append(i)
-                last.append(pos)
-                queue.append(j)
-            gen_step[pos].append(j)
-    n = len(keys)
-    elements = [UMat2._raw(key) for key in keys]
-    index = dict(zip(elements, range(n)))
-
-    # Multiplication table, one column at a time: elements[i] * elements[j]
-    # = (elements[i] * elements[parent[j]]) * generator last[j], and
-    # parent[j] < j, so column j is column parent[j] looked up in one
-    # step table.  This costs table lookups only.
-    columns = [tuple(range(n))]
-    for j in range(1, n):
-        columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))
-    mul = [list(row) for row in zip(*columns)]
-
-    # Each row is a permutation, so the inverse is where it hits the identity.
-    inv = [row.index(0) for row in mul]
-
-    # T-conjugation is multiplicative, so T * elements[j] * T_adj is the
-    # parent's conjugate times the generator's: one product per element.
-    t = ring.T
-    t_adj = t.adjoint()
-    gen_conj = [(t * mat) * t_adj for _, mat in gens]
-    conj = [ring.IDENTITY]
-    for j in range(1, n):
-        conj.append(conj[parent[j]] * gen_conj[last[j]])
-    t_conj = tuple(map(index.get, conj))
-    ct_ids = frozenset(i for i, c in enumerate(t_conj) if c is not None)
-
-    # Syndromes I, g0, g1*g0; with a single generator the second syndrome
-    # degenerates to g0*g0 so the triple stays well-formed (the coset
-    # decomposition is only meaningful for two-generator sets).
-    syn0 = gens[0][1]
-    second = gens[1] if len(gens) > 1 else gens[0]
-    syn1 = second[1] * syn0
-    syndrome_ids = (0, index[syn0], index[syn1])
-    syndrome_labels = ("I", gens[0][0], second[0] + gens[0][0])
-
-    coset_slots = []
-    for g in range(n):
-        matches = [s for s, sid in enumerate(syndrome_ids)
-                   if mul[inv[sid]][g] in ct_ids]
-        coset_slots.append(matches[0] if len(matches) == 1 else None)
-    coset_slots = tuple(coset_slots)
-
-    # Scalars read off the flat key: both off-diagonal numerators zero and
-    # the diagonal numerators equal (over the key's common sqrt2**k).
-    scalar_ids = tuple(i for i, key in enumerate(keys)
-                       if not any(key[5:13]) and key[1:5] == key[13:17])
-
-    return GroupTable(gens, elements, words, index, tuple(parent),
-                      tuple(last), gen_step, mul, inv, t, t_conj, ct_ids,
-                      coset_slots, syndrome_ids, syndrome_labels, scalar_ids)
-
 
 def build_standard_table():
     """The 192-element group generated by H and P, with T-cosets."""
-    return build_group([("H", ring.H), ("P", ring.P)])
+    return GroupTable([("H", ring.H), ("P", ring.P)])
 
 
 def subgroup_ct(table):
@@ -269,7 +231,7 @@ def quotient_profile(table):
     def qmul(a, b):
         return rep(mul[a][b])
 
-    e = rep(table.identity_id)
+    e = rep(0)
     orders = {}
     for g in reps:
         x, o = g, 1

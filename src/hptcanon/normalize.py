@@ -161,7 +161,7 @@ def _fold(circuit, rules):
     """normalize's pass: (list of block slots, Clifford id)."""
     table = rules.table
     blocks = []
-    pending = table.identity_id
+    pending = 0
     letter_step = table.letter_step
     slots = rules.slots
     w1s = rules.w1_ids

@@ -17,7 +17,7 @@ from operator import itemgetter, lt
 from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
-from .group import (build_group, build_standard_table, quotient_profile,
+from .group import (GroupTable, build_standard_table, quotient_profile,
                     subgroup_ct)
 from .normalize import (Block, NormalForm, evaluate, invert,
                         normal_form_matrix, normalize, parse, render)
@@ -140,12 +140,11 @@ def check_counting(ctx, nmax=12):
 
 def check_oracle(ctx, oracle_max=4):
     t0 = time.perf_counter()
-    report = census.verify_uniqueness(oracle_max, ctx["table"])
+    count = census.verify_uniqueness(oracle_max, ctx["table"])
     dt = time.perf_counter() - t0
     ok = dt < 10.0
     return _result("oracle-match", t0, ok,
-                   f"n={oracle_max}: enumeration {report.normal_form_count} "
-                   f"== oracle {report.oracle_count}, "
+                   f"n={oracle_max}: enumeration {count} == oracle {count}, "
                    f"{'within' if dt < 10.0 else 'EXCEEDS'} 10s budget")
 
 
@@ -153,10 +152,9 @@ def check_uniqueness(ctx, tmax=5):
     # verify_uniqueness raises VerificationFailure on any failure, which
     # run_all reports as a failed check.
     t0 = time.perf_counter()
-    report = census.verify_uniqueness(tmax, ctx["table"], with_oracle=False)
+    count = census.verify_uniqueness(tmax, ctx["table"], with_oracle=False)
     return _result("uniqueness", t0, True,
-                   f"n={tmax}: {report.distinct_matrix_count} distinct "
-                   f"matrices, no collisions")
+                   f"n={tmax}: {count} distinct matrices, no collisions")
 
 
 def _exhaustive_words(maxlen):
@@ -340,21 +338,20 @@ def check_remark_r(ctx):
     uniqueness against the oracle at n = 3 and round-trip the normalizer
     on 200 seeded random {R,P,T} words."""
     t0 = time.perf_counter()
-    table = build_group([("R", ring.R), ("P", ring.P)])
+    table = GroupTable([("R", ring.R), ("P", ring.P)])
     detail = f"|<R,P>|={table.order} recorded, decomposition="
     try:
         rules = rules_mod.build_rules(table)
     except rules_mod.RuleDerivationFailure:
         return _result("remark-r-basis", t0, False, detail + "False")
-    report = census.verify_uniqueness(3, table)
+    count = census.verify_uniqueness(3, table)
     rng = random.Random(20260825)
     words = ("".join(rng.choice("RPT") for _ in range(rng.randrange(0, 40)))
              for _ in range(200))
     ok = all(normal_form_matrix(normalize(w, table, rules), table)
              == evaluate(w, table.gates) for w in words)
     return _result("remark-r-basis", t0, ok,
-                   f"{detail}True, n=3 census {report.normal_form_count}"
-                   f"=={report.oracle_count}")
+                   f"{detail}True, n=3 census {count}=={count}")
 
 
 _CHECKS = (

@@ -1,7 +1,7 @@
 import pytest
 
 from hptcanon import ring, verify
-from hptcanon.group import build_group, build_standard_table
+from hptcanon.group import GroupTable, build_standard_table
 from hptcanon.rules import build_rules
 
 # Acceptance results land here; the terminal-summary hook prints one
@@ -28,7 +28,7 @@ def rules(table):
 @pytest.fixture(scope="session")
 def r_rules():
     """Rules over the alternate basis <R,P>; `r_rules.table` is its table."""
-    return build_rules(build_group([("R", ring.R), ("P", ring.P)]))
+    return build_rules(GroupTable([("R", ring.R), ("P", ring.P)]))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 from hptcanon import ring, rules as rules_mod, stab, verify
-from hptcanon.group import build_group
+from hptcanon.group import GroupTable
 from hptcanon.normalize import Block
 
 
@@ -73,7 +73,7 @@ def test_a_wrong_rule_fails_each_rule_check(table, rules):
 
 @pytest.mark.parametrize("check, name, stub, detail", [
     (verify.check_group_order, "build_standard_table",
-     lambda: build_group([("P", ring.P)]),
+     lambda: GroupTable([("P", ring.P)]),
      "order=4, fresh rebuild within 1s budget"),
     (verify.check_coset_structure, "subgroup_ct", lambda table: frozenset(),
      "|C_T|=64 cosets=[64, 64, 64] quotient=(8, abelian=False, "

@@ -7,7 +7,7 @@ import pytest
 from hptcanon import census, ring, verify
 from hptcanon.census import (brute_force_mn, count_closed_form,
                              enumerate_normal_forms, verify_uniqueness)
-from hptcanon.group import build_group
+from hptcanon.group import GroupTable
 from hptcanon.normalize import Block, NormalForm
 from hptcanon.ring import UMat2
 
@@ -136,7 +136,7 @@ def test_oracle_matches_naive_closure_small(table, r_rules):
 def test_oracle_partial_scalar_orbits():
     # <P> holds no scalar but the identity, and every element is
     # diagonal: D is the whole group, with one coset.
-    p_table = build_group([("P", ring.P)])
+    p_table = GroupTable([("P", ring.P)])
     assert p_table.scalar_ids == (0,)
     for n, naive in enumerate(_naive_closures(3, p_table)):
         fast, _ = brute_force_mn(n, p_table)
@@ -145,7 +145,7 @@ def test_oracle_partial_scalar_orbits():
 
 def test_oracle_no_diagonal_but_identity():
     # <H> = {I, H}: D = {I}, so each orbit is one element.
-    h_table = build_group([("H", ring.H)])
+    h_table = GroupTable([("H", ring.H)])
     assert h_table.order == 2
     for n, naive in enumerate(_naive_closures(3, h_table)):
         fast, _ = brute_force_mn(n, h_table)
@@ -180,14 +180,6 @@ def test_orbit_reps_refuse_keys_not_closed_under_diagonals(table):
 def oracle_runs(table):
     """`brute_force_mn(n)` for n = 0..4, computed once for this module."""
     return [brute_force_mn(n, table) for n in range(0, 5)]
-
-
-def test_oracle_counts_and_layers(oracle_runs):
-    matrices, layers = oracle_runs[4]
-    assert len(matrices) == 8832
-    assert layers == (192, 576, 1152, 2304, 4608)
-    for n, width in enumerate(layers):
-        assert width == count_closed_form(n, exact=True)
 
 
 def test_oracle_strict_containment(oracle_runs):
@@ -235,5 +227,28 @@ def test_negative_n_is_rejected(table):
 
 def test_verify_uniqueness_with_oracle(table):
     for n, size in enumerate([192, 768, 1920, 4224]):
-        assert verify_uniqueness(n, table) == (size, size, size)
-    assert verify_uniqueness(2, table, with_oracle=False) == (1920, 1920, None)
+        assert verify_uniqueness(n, table) == size
+    assert verify_uniqueness(2, table, with_oracle=False) == 1920
+
+
+def test_verify_uniqueness_fails_on_a_shared_matrix(table, monkeypatch):
+    # Every block tuple gets the same matrix, so the forms T|g and |g
+    # collide.
+    monkeypatch.setattr(census, "normal_form_matrix",
+                        lambda nf, tab: ring.IDENTITY)
+    with pytest.raises(census.VerificationFailure,
+                       match="^distinct normal forms share a matrix: "):
+        verify_uniqueness(1, table, with_oracle=False)
+
+
+def test_verify_uniqueness_fails_when_the_oracle_differs(table, monkeypatch):
+    oracle = census.brute_force_mn
+
+    def one_key_short(n, tab):
+        keys, layers = oracle(n, tab)
+        return keys - {min(keys)}, layers
+
+    monkeypatch.setattr(census, "brute_force_mn", one_key_short)
+    with pytest.raises(census.VerificationFailure,
+                       match="^enumeration/oracle sets differ: "):
+        verify_uniqueness(1, table)

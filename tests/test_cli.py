@@ -273,6 +273,8 @@ _STDOUT_SHA256 = {
         "440b615fb697086b0f338dc74995a4cfc4582114097b318acf87728ae3640538",
     _seeded_runs("matrix", 20261019):
         "2bb6cbba79859a053218459f506d5805f23c89425ac36075b37841b352cc0c97",
+    _seeded_runs("normalize", 20261020):
+        "2eb42d1524b3bb80d5e6e8a8d8062ee044a5e06f814fb414c4f06286628f21df",
 }
 
 

@@ -5,31 +5,30 @@ import random
 import pytest
 
 from hptcanon import ring
-from hptcanon.group import (ClosureExceedsLimit, build_group, quotient_profile,
+from hptcanon.group import (ClosureExceedsLimit, GroupTable, quotient_profile,
                             subgroup_ct)
-from hptcanon.normalize import Block, NormalForm, normal_form_matrix
+from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 
 
 def test_order_and_identity_word(table):
     assert table.order == 192
     assert table.words[0] == ""
-    assert table.identity_id == 0
 
 
 def test_single_generator_identity_group():
-    t = build_group([("I", ring.IDENTITY)], limit=10)
+    t = GroupTable([("I", ring.IDENTITY)], limit=10)
     assert t.order == 1
     assert t.words == [""]
 
 
-def test_build_group_refuses_non_matrix_generators():
+def test_group_table_refuses_non_matrix_generators():
     with pytest.raises(TypeError, match="generator 'H' must be a UMat2, not int"):
-        build_group([("H", 5)])
+        GroupTable([("H", 5)])
 
 
 def test_closure_limit_enforced():
     with pytest.raises(ClosureExceedsLimit):
-        build_group([("H", ring.H), ("P", ring.P)], limit=100)
+        GroupTable([("H", ring.H), ("P", ring.P)], limit=100)
 
 
 def test_canonical_words_are_shortest_and_lex_least(table):
@@ -54,7 +53,7 @@ def test_canonical_words_are_shortest_and_lex_least(table):
                                   (("R", ring.R), ("P", ring.P))],
                          ids=["HP", "RP"])
 def test_mul_table_complete(gens):
-    t = build_group(gens)
+    t = GroupTable(gens)
     assert t.order == 192
     for i, a in enumerate(t.elements):
         row = t.mul[i]
@@ -79,7 +78,7 @@ def test_gen_step_agrees_with_mul(table):
                                   (("R", ring.R), ("P", ring.P))],
                          ids=["HP", "RP"])
 def test_t_conj_matches_direct_conjugation(gens):
-    t = build_group(gens)
+    t = GroupTable(gens)
     t_mat, t_adj = t.t_mat, t.t_mat.adjoint()
     for g, m in enumerate(t.elements):
         assert t.t_conj[g] == t.index.get((t_mat * m) * t_adj)
@@ -90,10 +89,11 @@ def test_conjugation_subgroup_generating_set(table):
     # C_T holds the identity and is closed under products, and P, HPPH
     # and HPHPHP generate it.
     ct, mul = table.ct_ids, table.mul
-    assert table.identity_id in ct
+    assert 0 in ct
     assert all(mul[a][b] in ct for a in ct for b in ct)
-    gens = [table.word_id(w) for w in ("P", "HPPH", "HPHPHP")]
-    reached, grown = set(), {table.identity_id}
+    gens = [table.index[evaluate(w, table.gates)]
+            for w in ("P", "HPPH", "HPHPHP")]
+    reached, grown = set(), {0}
     while grown != reached:
         reached, grown = grown, grown | {mul[a][g] for a in grown for g in gens}
     assert reached == ct
@@ -104,9 +104,8 @@ def test_coset_tags(table, r_rules):
     for tab, labels in ((table, ("I", "H", "PH")),
                         (r_rules.table, ("I", "R", "PR"))):
         assert tab.syndrome_labels == labels
-        for slot, word in enumerate(labels[1:], start=1):
-            assert tab.coset_slots[tab.word_id(word)] == slot
-        assert tab.coset_slots[tab.word_id("P")] == 0
+        ids = [tab.index[evaluate(w, tab.gates)] for w in (*labels[1:], "P")]
+        assert [tab.coset_slots[g] for g in ids] == [1, 2, 0]
         for g, slot in enumerate(tab.coset_slots):
             # the slot's syndrome actually translates g into the subgroup
             sid = tab.syndrome_ids[slot]
@@ -115,11 +114,11 @@ def test_coset_tags(table, r_rules):
 
 
 def test_scalar_subgroup(table, r_rules):
-    assert table.word_id("HPHPHP") in table.scalar_ids
+    assert table.index[evaluate("HPHPHP", table.gates)] in table.scalar_ids
     # the eighth roots of unity, +-omega**j for j = 0..3
     expected = {ring.RingElem(*(s * (j == i) for j in range(4)))
                 for i in range(4) for s in (1, -1)}
-    p_table = build_group([("P", ring.P)])
+    p_table = GroupTable([("P", ring.P)])
     for tab, want in ((table, expected), (r_rules.table, expected),
                       (p_table, {ring.ONE})):
         # The entry-wise definition, element by element.
@@ -138,23 +137,8 @@ def test_element_id_rejects_non_members(table):
 def test_quotient_profile():
     # <P> is abelian, all of it is C_T, and its only scalar is I; criterion
     # 2 pins the standard table's profile.
-    p_table = build_group([("P", ring.P)])
+    p_table = GroupTable([("P", ring.P)])
     assert quotient_profile(p_table) == (4, True, {1: 1, 2: 1, 4: 2})
-
-
-def test_word_id_walks_products(table):
-    rng = random.Random(37)
-    for _ in range(200):
-        word = "".join(rng.choice("HP") for _ in range(rng.randrange(0, 12)))
-        m = ring.IDENTITY
-        for ch in word:
-            m = m * ring.GATES[ch]
-        assert table.word_id(word) == table.element_id(m)
-
-
-def test_word_id_rejects_unknown_letter(table):
-    with pytest.raises(ValueError, match="gate 'X' not in this basis"):
-        table.word_id("HX")
 
 
 def test_gates_map_generator_names_and_t_to_matrices(table, r_rules):

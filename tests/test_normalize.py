@@ -250,19 +250,19 @@ def test_rules_alone_and_no_arguments_skip_the_resolver(monkeypatch,
 def test_normalize_examples(table, rules):
     nf = normalize("HPPHT", table, rules)
     assert nf.blocks == (Block.T,)
-    assert nf.cliff == table.word_id("HPHPPPH")
+    assert nf.cliff == table.index[evaluate("HPHPPPH", table.gates)]
 
     nf = normalize("PPHT", table, rules)
     assert nf.blocks == (Block.HT,)
-    assert nf.cliff == table.word_id("HPHPPPH")
+    assert nf.cliff == table.index[evaluate("HPHPPPH", table.gates)]
 
     nf = normalize("TT", table, rules)
     assert nf.blocks == ()
-    assert nf.cliff == table.word_id("P")
+    assert nf.cliff == table.index[evaluate("P", table.gates)]
 
     nf = normalize("HPH", table, rules)
     assert nf.blocks == ()
-    assert nf.cliff == table.word_id("HPH")
+    assert nf.cliff == table.index[evaluate("HPH", table.gates)]
 
     assert normalize("", table, rules) == NormalForm((), 0)
 
@@ -280,9 +280,10 @@ def test_normal_form_shape(table, rules):
 
 def test_render(table):
     assert render(NormalForm((Block.T,), 0), table) == "T|I"
-    assert render(NormalForm((), table.word_id("P")), table) == "|P"
-    assert render(NormalForm((Block.PHT, Block.HT), table.word_id("H")),
-                  table) == "PHT.HT|H"
+    p_id = table.index[evaluate("P", table.gates)]
+    h_id = table.index[evaluate("H", table.gates)]
+    assert render(NormalForm((), p_id), table) == "|P"
+    assert render(NormalForm((Block.PHT, Block.HT), h_id), table) == "PHT.HT|H"
 
 
 @pytest.mark.parametrize("density", [0.05, 0.33, 0.70])
@@ -396,7 +397,7 @@ def test_t_count_never_exceeds_t_letters(table, rules):
 
 def test_invert_examples(table, rules):
     nf = invert("H", table, rules)
-    assert nf == NormalForm((), table.word_id("H"))
+    assert nf == NormalForm((), table.index[evaluate("H", table.gates)])
 
     nf = invert("T", table, rules)
     assert nf.t_count == 1
@@ -441,7 +442,6 @@ def test_lookup_bound_is_two_per_gate(table, rules):
     for w in cases:
         hits = []
         fake_table = SimpleNamespace(
-            identity_id=table.identity_id,
             letter_step=_CountingGrid(table.letter_step, hits),
         )
         fake_rules = SimpleNamespace(

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from hptcanon import ring
-from hptcanon.group import build_group
+from hptcanon.group import GroupTable
 from hptcanon.normalize import evaluate
 from hptcanon.rules import (RuleDerivationFailure, build_rules, check_fixture,
                             emit_rules, load_bundled_fixture, parse_fixture)
@@ -16,10 +16,10 @@ def _rule(rules, w0):
 
 
 def test_specific_rules(rules, table):
-    w1_expected = table.word_id("HPHPPPH")
-    assert _rule(rules, table.word_id("HPPH")) == (0, w1_expected)
-    assert _rule(rules, table.word_id("PPH")) == (1, w1_expected)
-    assert _rule(rules, table.word_id("PPPH")) == (2, w1_expected)
+    w1_expected, *w0s = (table.index[evaluate(w, table.gates)]
+                         for w in ("HPHPPPH", "HPPH", "PPH", "PPPH"))
+    for slot, w0 in enumerate(w0s):
+        assert _rule(rules, w0) == (slot, w1_expected)
     assert _rule(rules, 0) == (0, 0)
 
 
@@ -86,7 +86,7 @@ def test_single_generator_rules_fail_and_name_the_element():
     # coset of more than one syndrome.
     with pytest.raises(RuleDerivationFailure,
                        match="^element '' is in no unique syndrome coset$"):
-        build_rules(build_group([("P", ring.P)]))
+        build_rules(GroupTable([("P", ring.P)]))
 
 
 def test_missing_conjugate_fails_and_names_the_element(table):

@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from hptcanon import ring, stab
-from hptcanon.group import build_group
-from hptcanon.normalize import Block, NormalForm, normal_form_matrix
+from hptcanon.group import GroupTable
+from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 from hptcanon.ring import RingElem
 from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
                            classify, initial_stab, nonidentity_witness,
@@ -28,9 +28,9 @@ def _random_form(rng, k, table):
 
 def test_initial_axes(table):
     assert initial_stab(0, table) == StabTriple((0, 0), (0, 0), (1, 0), 0)
-    assert initial_stab(table.word_id("H"), table) == \
+    assert initial_stab(table.index[evaluate("H", table.gates)], table) == \
         StabTriple((1, 0), (0, 0), (0, 0), 0)
-    assert initial_stab(table.word_id("P"), table) == \
+    assert initial_stab(table.index[evaluate("P", table.gates)], table) == \
         StabTriple((0, 0), (0, 0), (1, 0), 0)
 
 
@@ -50,7 +50,7 @@ def test_initial_stab_equals_direct_conjugation_per_table(table,
     # Fresh memo; the two tables are called in alternation, so an axis
     # memoised for one table and handed to the other would show here.
     monkeypatch.setattr(stab, "_AXIS_MEMO", weakref.WeakKeyDictionary())
-    r_table = build_group([("R", ring.R), ("P", ring.P)])
+    r_table = GroupTable([("R", ring.R), ("P", ring.P)])
     assert r_table.order == table.order
     differ = 0
     for w0 in range(table.order):
@@ -74,7 +74,7 @@ def test_initial_stab_refuses_ids_and_non_clifford_elements(table):
             initial_stab(bad, table)
     # <HTH> is cyclic of order 8, and HTH maps Z to (Z - Y)/sqrt2.  The
     # failure is raised on every call, never memoised.
-    q_table = build_group([("Q", ring.H * ring.T * ring.H)])
+    q_table = GroupTable([("Q", ring.H * ring.T * ring.H)])
     assert q_table.order == 8
     for _ in range(2):
         with pytest.raises(NotSignedPauli):
@@ -132,8 +132,8 @@ def test_fold_over_normal_form(table):
     st = stab_of_normal_form(NormalForm((), 0), table)
     assert st == StabTriple((0, 0), (0, 0), (1, 0), 0)
 
-    st = stab_of_normal_form(NormalForm((Block.T,), table.word_id("H")),
-                             table)
+    h_id = table.index[evaluate("H", table.gates)]
+    st = stab_of_normal_form(NormalForm((Block.T,), h_id), table)
     assert st == StabTriple((1, 0), (1, 0), (0, 0), 1)
 
     # The trace holds levels 0..k: the tail's axis, then one step per

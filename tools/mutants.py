@@ -165,6 +165,14 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "(-d0, a0, b0, c0, -d1, a1, b1, c1),",
            "(d0, a0, b0, c0, -d1, a1, b1, c1),"),
+    Mutant("verify_uniqueness refuses two forms with one matrix",
+           "src/hptcanon/census.py",
+           "            if other is not None:\n",
+           "            if False:\n"),
+    Mutant("verify_uniqueness compares the enumeration with the oracle",
+           "src/hptcanon/census.py",
+           "if set(seen) != okeys:",
+           "if False:"),
     Mutant("the oracle's frontier is the last layer's orbits",
            "src/hptcanon/census.py",
            "frontier = _orbit_reps(new, pairs)",
