@@ -157,29 +157,50 @@ def evaluate(circuit, gates=ring.GATES):
                             a2, b2, c2, d2, a3, b3, c3, d3))
 
 
-def _fold(circuit, rules):
-    """normalize's pass: (list of block slots, Clifford id)."""
-    table = rules.table
+def _not_a_circuit(caller, circuit):
+    return TypeError(f"{caller}() circuit must be a str, "
+                     f"not {type(circuit).__name__}")
+
+
+def _fold(circuit, rules, caller="normalize"):
+    """normalize's pass: (list of block slots, Clifford id).
+
+    The loop reads one byte code per gate (see RuleTable): each T*T is
+    first written as the letter of P = T*T, then every letter becomes its
+    code at C speed.  A generator code c takes one lookup, steps[c];
+    code 0 is a T.  A letter outside the basis becomes a code past the
+    end of steps (IndexError) or does not encode (UnicodeEncodeError),
+    and either raises ValueError for the circuit's first such letter; a
+    circuit that is not a str raises TypeError naming `caller`.
+    """
+    try:
+        codes = str.replace(circuit, "TT", rules.tt).translate(rules.codes)
+    except TypeError:
+        raise _not_a_circuit(caller, circuit) from None
     blocks = []
     pending = 0
-    letter_step = table.letter_step
+    steps = rules.steps
     slots = rules.slots
     w1s = rules.w1_ids
     merge = rules.merge
-    for ch in circuit:
-        if ch != "T":
-            try:
-                pending = letter_step[ch][pending]
-            except KeyError:
+    try:
+        for c in codes.encode("latin-1"):
+            if c:
+                pending = steps[c][pending]
+            elif slot := slots[pending]:
+                blocks.append(slot)
+                pending = w1s[pending]
+            elif blocks:
+                pending = merge[blocks.pop()][w1s[pending]]
+            else:
+                blocks.append(0)
+                pending = w1s[pending]
+    except (IndexError, UnicodeEncodeError):
+        letters = rules.table.letter_step
+        for ch in circuit:
+            if ch != "T" and ch not in letters:
                 raise ValueError(f"gate {ch!r} not in this basis") from None
-        elif slot := slots[pending]:
-            blocks.append(slot)
-            pending = w1s[pending]
-        elif blocks:
-            pending = merge[blocks.pop()][w1s[pending]]
-        else:
-            blocks.append(0)
-            pending = w1s[pending]
+        raise
     return blocks, pending
 
 
@@ -191,11 +212,14 @@ def normalize(circuit, table=None, rules=None):
     """Normal form of a circuit in one left-to-right pass.
 
     State is a block stack plus a pending Clifford (initially identity).
-    H/P fold into pending by one step-table lookup.  Each T looks up
-    pending*T = S*T*W1: a non-identity syndrome S pushes block S*T, and
-    an identity syndrome either starts the chain with a bare T or pops
-    the previous block X*T, merging T*T into P (pending becomes X*P*W1,
-    one lookup in rules.merge).  Amortized O(1) table lookups per gate.
+    H/P fold into pending by one step-table lookup, and each adjacent T*T
+    in the circuit is read as one P.  Each T looks up pending*T = S*T*W1:
+    a non-identity syndrome S pushes block S*T, and an identity syndrome
+    either starts the chain with a bare T or pops the previous block X*T,
+    merging T*T into P (pending becomes X*P*W1, one lookup in
+    rules.merge).  Amortized O(1) table lookups per gate.  A circuit that
+    is not a str raises TypeError, and a letter outside the table's
+    generators and T raises ValueError.
     """
     if (rules.__class__ is not RuleTable
             or table is not None and table is not rules.table):
@@ -204,7 +228,11 @@ def normalize(circuit, table=None, rules=None):
     return NormalForm(tuple(map(_BLOCKS.__getitem__, blocks)), cliff)
 
 
-def _check_form(nf, table):
+def _check_form(nf, table, caller):
+    # The one guard of every entry point that takes a NormalForm.
+    if not isinstance(nf, NormalForm):
+        raise TypeError(f"{caller}() form must be a NormalForm, "
+                        f"not {type(nf).__name__}")
     if not (0 <= nf.cliff < len(table.elements)
             and _BLOCK_SET.issuperset(nf.blocks)):
         raise ValueError(f"{nf!r} is not a normal form of this table")
@@ -215,7 +243,7 @@ def render(nf, table=None):
     Clifford word ('I' when empty)."""
     if table is None:
         table = _default_rules().table
-    _check_form(nf, table)
+    _check_form(nf, table, "render")
     return (".".join(map(table.block_labels.__getitem__, nf.blocks))
             + "|" + (table.words[nf.cliff] or "I"))
 
@@ -227,7 +255,7 @@ def normal_form_matrix(nf, table=None):
     blocks is its tail's matrix."""
     if table is None:
         table = _default_rules().table
-    _check_form(nf, table)
+    _check_form(nf, table, "normal_form_matrix")
     tail = table.elements[nf.cliff]
     if not nf.blocks:
         return tail
@@ -241,7 +269,8 @@ def equivalent(c1, c2, table=None, rules=None):
     if (rules.__class__ is not RuleTable
             or table is not None and table is not rules.table):
         rules = _rules("equivalent", table, rules)
-    return _fold(c1, rules) == _fold(c2, rules)
+    return (_fold(c1, rules, "equivalent")
+            == _fold(c2, rules, "equivalent"))
 
 
 def t_count(circuit, table=None, rules=None):
@@ -250,7 +279,7 @@ def t_count(circuit, table=None, rules=None):
     if (rules.__class__ is not RuleTable
             or table is not None and table is not rules.table):
         rules = _rules("t_count", table, rules)
-    return len(_fold(circuit, rules)[0])
+    return len(_fold(circuit, rules, "t_count")[0])
 
 
 def invert(circuit, table=None, rules=None):
@@ -265,6 +294,8 @@ def invert(circuit, table=None, rules=None):
     if (rules.__class__ is not RuleTable
             or table is not None and table is not rules.table):
         rules = _rules("invert", table, rules)
+    if not isinstance(circuit, str):
+        raise _not_a_circuit("invert", circuit)
     table = rules.table
     inv_words = {name: table.words[table.inv[gid]]
                  for name, gid in table.gen_ids.items()}

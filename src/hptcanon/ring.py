@@ -349,7 +349,6 @@ P = UMat2(ONE, ZERO, ZERO, I_UNIT)
 T = UMat2(ONE, ZERO, ZERO, OMEGA)
 R = UMat2(SQRT2_INV, SQRT2_INV, RingElem(-1, 0, 0, 0, 1), SQRT2_INV)
 PAULI_X = UMat2(ZERO, ONE, ONE, ZERO)
-PAULI_Y = UMat2(ZERO, RingElem(0, 0, -1, 0), I_UNIT, ZERO)
 PAULI_Z = UMat2(ONE, ZERO, ZERO, RingElem(-1, 0, 0, 0))
 
 # Read-only: evaluate reads it as its default gate set.

@@ -24,7 +24,14 @@ class RuleTable:
     is the whole context the normalizer needs.  `merge[x][w1]` is the
     pending element after a T whose rule has the identity syndrome meets
     a previous block x: X*T*T*W1 = X*P*W1, with X the block's syndrome
-    and P = T*T the second generator.
+    and P = T*T the second generator, whose letter is `tt`.
+
+    The normalizer reads a circuit as byte codes, one per gate: `codes`
+    is a str.translate table that maps T to chr(0) and generator i to
+    chr(i + 1), and `steps[i + 1]` is generator i's letter_step row
+    (`steps[0]` is None, since T takes the rules instead).  Each code
+    character that is not itself a basis letter maps to the sentinel
+    chr(255), past the end of `steps`, so it cannot pass for a gate.
     """
 
     def __init__(self, table, w1_ids):
@@ -33,9 +40,16 @@ class RuleTable:
         # so every slot here is 0, 1 or 2.
         self.slots = table.coset_slots
         self.w1_ids = w1_ids
+        names = table.gen_names
         mul = table.mul
-        p_id = table.gen_ids[table.gen_names[1]]
+        p_id = table.gen_ids[names[1]]
         self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)
+        self.tt = names[1]
+        letters = ("T", *names)
+        self.codes = str.maketrans(
+            {**{chr(code): "\xff" for code in range(len(letters))},
+             **{ch: chr(code) for code, ch in enumerate(letters)}})
+        self.steps = (None, *map(table.letter_step.__getitem__, names))
 
     def __len__(self):
         return len(self.slots)

@@ -119,9 +119,9 @@ def classify(st):
     return _CLASS_BY_PARITY.get(parity, ParityClass.OTHER)
 
 
-def _check_chain(nf, table):
+def _check_chain(nf, table, caller):
     # A form of this table whose blocks are in (T|e)(HT|PHT)*.
-    _check_form(nf, table)
+    _check_form(nf, table, caller)
     if _T in nf.blocks[1:]:
         raise ValueError(f"{nf!r} is not a normal form: a bare T block "
                          "can only sit leftmost")
@@ -132,7 +132,7 @@ def stab_trace(nf, table):
     step_block over the blocks from rightmost (adjacent to the tail) to
     leftmost.  A form that does not belong to the table, or whose blocks
     have a bare T after the leftmost, raises ValueError."""
-    _check_chain(nf, table)
+    _check_chain(nf, table, "stab_trace")
     return list(accumulate(reversed(nf.blocks), step_block,
                            initial=initial_stab(nf.cliff, table)))
 
@@ -218,6 +218,6 @@ def nonidentity_witness(nf, table):
     if not nf.blocks:
         raise NoTGates("normal form has no T blocks")
     if len(nf.blocks) <= 2:
-        _check_chain(nf, table)
+        _check_chain(nf, table, "nonidentity_witness")
         return normal_form_matrix(nf, table) != ring.IDENTITY
     return classify(stab_of_normal_form(nf, table)) is not ParityClass.OTHER

@@ -54,7 +54,7 @@ _WRONG_RULE_DETAILS = {
     "check_rules": "192 rules, sections [64, 64, 64], 1 identity failures",
     "check_appendix": "192 rows, 1 mismatches; first: HT = HT: W1 differs "
                       "from derived rule",
-    "check_soundness": "13280 words, 7175 failures, within 30s budget",
+    "check_soundness": "13280 words, 6689 failures, within 30s budget",
     "check_tcount_minimality": "303 matrices over words <=7, "
                                "0 beaten minima, 52 unattained witnesses",
     "check_inverse_tcount": "4224 normal forms <= 3 blocks, 66 failures",

@@ -1,6 +1,8 @@
 """Parsing, evaluation, normalization, rendering, equivalence, inversion."""
 
+import hashlib
 import random
+import re
 from itertools import product
 from types import SimpleNamespace
 
@@ -11,7 +13,7 @@ from hptcanon import normalize as normalize_mod
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
-from hptcanon.stab import stab_of_normal_form
+from hptcanon.stab import stab_of_normal_form, stab_trace
 
 
 def test_parse_plain_and_whitespace():
@@ -408,9 +410,49 @@ def test_invert_examples(table, rules):
     assert normal_form_matrix(nf, table) * evaluate("HT") == ring.IDENTITY
 
 
-def test_invert_rejects_unknown_gate(table, rules):
-    with pytest.raises(ValueError, match="gate 'X' not in this basis"):
-        invert("HXT", table, rules)
+# Each circuit entry point, with the circuit in the slot under test.
+_CIRCUIT_CALLS = [
+    ("normalize", lambda c, rules: normalize(c, rules=rules)),
+    ("t_count", lambda c, rules: t_count(c, rules=rules)),
+    ("equivalent", lambda c, rules: equivalent(c, "HT", rules=rules)),
+    ("equivalent", lambda c, rules: equivalent("HT", c, rules=rules)),
+    ("invert", lambda c, rules: invert(c, rules=rules)),
+]
+
+
+@pytest.mark.parametrize("bad", [None, b"HT", ["H", "T"], 7, object()],
+                         ids=lambda bad: type(bad).__name__)
+def test_a_circuit_that_is_not_a_str_is_a_named_type_error(rules, bad):
+    for name, call in _CIRCUIT_CALLS:
+        with pytest.raises(TypeError, match=rf"^{name}\(\) circuit must be "
+                           rf"a str, not {type(bad).__name__}$"):
+            call(bad, rules)
+
+
+@pytest.mark.parametrize("circuit, basis, letter", [
+    ("HXT", "HP", "X"), ("é", "HP", "é"), ("中", "HP", "中"),
+    ("TĀ", "HP", "Ā"), ("\x00", "HP", "\x00"), ("\x01", "HP", "\x01"),
+    ("\x02", "HP", "\x02"), ("HT\xff", "HP", "\xff"), ("H", "RP", "H"),
+])
+def test_a_letter_outside_the_basis_is_a_named_value_error(
+        rules, r_rules, circuit, basis, letter):
+    # Code characters (T is chr(0), generator i is chr(i + 1)), a latin-1
+    # letter past the codes and letters that latin-1 cannot encode are all
+    # refused, never read as a gate.
+    basis_rules = rules if basis == "HP" else r_rules
+    for _, call in _CIRCUIT_CALLS:
+        with pytest.raises(ValueError, match=re.escape(
+                f"gate {letter!r} not in this basis")):
+            call(circuit, basis_rules)
+
+
+@pytest.mark.parametrize("bad", [None, "x", ((), 0), 1.5],
+                         ids=lambda bad: type(bad).__name__)
+def test_a_form_that_is_not_a_normal_form_is_a_named_type_error(table, bad):
+    for fn in (render, normal_form_matrix, stab_trace):
+        with pytest.raises(TypeError, match=rf"^{fn.__name__}\(\) form must "
+                           rf"be a NormalForm, not {type(bad).__name__}$"):
+            fn(bad, table)
 
 
 class _CountingRow:
@@ -441,15 +483,58 @@ def test_lookup_bound_is_two_per_gate(table, rules):
               for _ in range(200)]
     for w in cases:
         hits = []
-        fake_table = SimpleNamespace(
-            letter_step=_CountingGrid(table.letter_step, hits),
-        )
         fake_rules = SimpleNamespace(
-            table=fake_table,
+            table=table,
+            tt=rules.tt,
+            codes=rules.codes,
+            steps=(None, *(_CountingRow(row, hits)
+                           for row in rules.steps[1:])),
             slots=_CountingRow(rules.slots, hits),
             w1_ids=rules.w1_ids,
             merge=_CountingGrid(rules.merge, hits),
         )
-        nf = normalize(w, fake_table, fake_rules)
+        nf = normalize(w, table, fake_rules)
         assert nf == normalize(w, table, rules)
         assert len(hits) <= 2 * len(w)
+
+
+def _corpus(rng, letters):
+    # Three T densities at lengths 0-64, 10**4 and 1.6 * 10**5, then T**k.
+    words = []
+    for density in (0.05, 0.33, 0.70):
+        rest = (1 - density) / 2
+        for n in [*range(65), 10_000, 160_000]:
+            words.append("".join(rng.choices(
+                letters + "T", weights=(rest, rest, density), k=n)))
+    return words + ["T" * k for k in range(18)]
+
+
+def test_answers_match_the_recorded_corpus_digest(rules, r_rules):
+    # sha256 of every answer over seeded corpora on <H,P> and <R,P>,
+    # recorded before the fold read T*T as P and letters as byte codes.
+    digest = hashlib.sha256()
+    for seed, basis_rules in ((83, rules), (89, r_rules)):
+        table = basis_rules.table
+        prev = ""
+        for w in _corpus(random.Random(seed), "".join(table.gen_names)):
+            digest.update(("%s %d %d %d %s\n" % (
+                render(normalize(w, rules=basis_rules), table),
+                t_count(w, rules=basis_rules),
+                equivalent(w, prev, rules=basis_rules),
+                equivalent(w, "T" * 8 + w, rules=basis_rules),
+                render(invert(w, rules=basis_rules), table))).encode())
+            prev = w
+    assert digest.hexdigest() == ("fdffcd77319002d32812ea6642d11ca2"
+                                  "da271780129bab2873f93874791cbb84")
+
+
+def test_fold_is_unchanged_by_writing_p_as_tt(rules, r_rules):
+    rng = random.Random(97)
+    for basis_rules in (rules, r_rules):
+        letters = "".join(basis_rules.table.gen_names) + "T"
+        for _ in range(400):
+            w = "".join(rng.choices(letters, k=rng.randrange(0, 60)))
+            tt = "".join("TT" if ch == "P" and rng.random() < 0.5 else ch
+                         for ch in w)
+            assert normalize_mod._fold(w, basis_rules) == \
+                normalize_mod._fold(tt, basis_rules), (w, tt)

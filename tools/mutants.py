@@ -107,6 +107,18 @@ MUTANTS = (
            "self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)",
            "self.merge = tuple(mul[mul[sid][p_id]] for sid in "
            "table.syndrome_ids[:2]) + (mul[table.syndrome_ids[2]],)"),
+    Mutant("T*T is read as the second generator, P",
+           "src/hptcanon/rules.py",
+           "self.tt = names[1]",
+           "self.tt = names[0]"),
+    Mutant("each generator has its own byte code",
+           "src/hptcanon/rules.py",
+           "**{ch: chr(code) for code, ch in enumerate(letters)}})",
+           '**{ch: chr(code) for code, ch in enumerate(("T", *names[::-1]))}})'),
+    Mutant("a code character outside the basis maps to the sentinel",
+           "src/hptcanon/rules.py",
+           '{**{chr(code): "\\xff" for code in range(len(letters))},',
+           '{**{chr(code): "\\xff" for code in range(0)},'),
     Mutant("check_fixture compares the row's syndrome",
            "src/hptcanon/rules.py",
            "        if rules.slots[w0] != slot:\n            problems",
