@@ -2,22 +2,21 @@
 
 M_n is the set of matrices computable with at most n T gates.  The
 closed forms |M_n| = order*(3*2**n - 2) and |M_=n| = 3*order*2**(n-1)
-are checked against two independent routes: enumerating normal forms
-and evaluating them exactly, and a brute-force closure oracle that
-multiplies flat matrix keys without ever consulting the normalizer,
-rules or ring products.  The oracle's work is cut by D, the diagonal
-group elements diag(omega**a, omega**b): they commute with T, and a left
-factor in D rotates each row, so the oracle takes one product per coset
-D*r of the group and keeps one matrix per orbit D*m of each layer.  The
-enumeration, the oracle and verify_uniqueness take the group table they
-count over, so verify.check_remark_r reruns them with the alternate
-generator R (the pi/4 y-rotation) in place of H.
+count block tuples times tails: each of the 3*2**(n-1) tuples of n
+blocks carries every tail, so the checks walk block_tuples.  They are
+checked two independent ways: by evaluating the normal forms exactly,
+and by a brute-force closure oracle on flat matrix keys that never
+consults the normalizer, rules or ring products.  The oracle's work is
+cut by D, the diagonal elements diag(omega**a, omega**b): they commute
+with T, and a left factor in D rotates each row, so the oracle takes one
+product per coset D*r and keeps one matrix per orbit D*m of each layer.
+The entry points take the group table they count over (<R,P> too).
 """
 
 from functools import partial
-from itertools import chain, groupby, product
-from operator import attrgetter
+from itertools import chain, product
 
+from .group import GroupTable
 from .normalize import Block, NormalForm, normal_form_matrix
 
 
@@ -33,6 +32,13 @@ def _check_n(n):
         raise ValueError(f"n must be >= 0, got {n}")
 
 
+def _check_table(table, caller):
+    # The one guard of every entry point that takes a GroupTable.
+    if not isinstance(table, GroupTable):
+        raise TypeError(f"{caller}() table must be a GroupTable, "
+                        f"not {type(table).__name__}")
+
+
 def count_closed_form(n, exact=False, order=192):
     """|M_n|, or |M_=n| when exact=True (the layer of T-count exactly n)."""
     _check_n(n)
@@ -41,30 +47,26 @@ def count_closed_form(n, exact=False, order=192):
     return order * (3 * 2 ** n - 2)
 
 
-def enumerate_normal_forms(n, table=None):
-    """All normal forms with at most n blocks, deterministically:
-    T-count ascending, then block tuples in product order, then the
-    Clifford tail by element id.  A negative n raises ValueError here,
-    not at the first item.
-
-    The result is a lazy iterator built by C iterators.  Block tuples
-    come one at a time from a chain of per-layer products (the empty
-    tuple, then every length 1..n).  Each tuple is paired with every
-    tail by product((blocks,), tails), and each pair becomes a
-    NormalForm through tuple.__new__, which is what NormalForm._make
-    does without a Python frame per form.  product copies its inputs
-    into tuples, so the block tuples are never one of its inputs: a
-    layer is never materialised and the first form comes at once for
-    any n.
-    """
+def block_tuples(n):
+    """The block tuples of the normal forms with <= n blocks, lazily:
+    length ascending, then product order over (T|HT|PHT)(HT|PHT)*.  A
+    negative n raises ValueError here, not at the first item."""
     _check_n(n)
     first = (Block.T, Block.HT, Block.PHT)
     rest = (Block.HT, Block.PHT)
-    tails = range(table.order if table is not None else 192)
-    block_tuples = chain(((),), chain.from_iterable(
+    return chain(((),), chain.from_iterable(
         product(first, *((rest,) * (k - 1))) for k in range(1, n + 1)))
+
+
+def enumerate_normal_forms(n, table=None):
+    """All normal forms with <= n blocks, lazily: block_tuples(n), each
+    paired with every tail by id, made NormalForms by tuple.__new__
+    (NormalForm._make without a Python frame per form)."""
+    if table is not None:
+        _check_table(table, "enumerate_normal_forms")
+    tails = range(192 if table is None else table.order)
     return map(partial(tuple.__new__, NormalForm), chain.from_iterable(
-        product((blocks,), tails) for blocks in block_tuples))
+        product((blocks,), tails) for blocks in block_tuples(n)))
 
 
 def _flat_mul(x, y):
@@ -186,6 +188,7 @@ def brute_force_mn(n, table):
     Returns (set of flat keys, per-layer new-matrix counts).
     """
     _check_n(n)
+    _check_table(table, "brute_force_mn")
     cliff_keys = [m.scaled_key() for m in table.elements]
     t_key = table.t_mat.scaled_key()
 
@@ -215,28 +218,25 @@ def verify_uniqueness(n, table, with_oracle=True):
     the one count returned is the number of normal forms, of distinct
     matrices and (when enabled) of oracle keys alike.
 
-    Forms arrive grouped by block tuple, so the blocks' matrix is taken
-    once per tuple, and one walk of the closure tree
-    (GroupTable.right_products) gives its product with every Clifford
-    tail, one generator step per tail.  Each form reads its key from that
-    walk by its tail id; canonical keys are unique, so the key is that of
-    normal_form_matrix of the form.
-    """
+    Per block tuple, one walk of the closure tree (right_products) gives
+    its matrix times every tail, read by tail id; forms are kept as
+    (blocks, tail) pairs, made NormalForms only for a failure message."""
+    _check_n(n)
+    _check_table(table, "verify_uniqueness")
     order = table.order
     seen = {}
     layer_counts = [0] * (n + 1)
-    for blocks, forms in groupby(enumerate_normal_forms(n, table),
-                                 key=attrgetter("blocks")):
+    for blocks in block_tuples(n):
         keys = table.right_products(
             normal_form_matrix(NormalForm(blocks, 0), table).scaled_key())
-        for nf in forms:
-            key = keys[nf.cliff]
-            other = seen.get(key)
-            if other is not None:
+        for cliff in range(order):
+            key = keys[cliff]
+            if key in seen:
                 raise VerificationFailure(
-                    f"distinct normal forms share a matrix: {other} vs {nf}")
-            seen[key] = nf
-            layer_counts[len(blocks)] += 1
+                    "distinct normal forms share a matrix: "
+                    f"{NormalForm(*seen[key])} vs {NormalForm(blocks, cliff)}")
+            seen[key] = blocks, cliff
+        layer_counts[len(blocks)] += order
     for k, got in enumerate(layer_counts):
         want = count_closed_form(k, exact=True, order=order)
         if got != want:

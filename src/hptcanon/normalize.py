@@ -285,20 +285,16 @@ def t_count(circuit, table=None, rules=None):
 def invert(circuit, table=None, rules=None):
     """Normal form of the exact inverse circuit.
 
-    The word is reversed letterwise with each Clifford generator replaced
-    by its inverse's canonical word and T by T followed by the phase
-    gate's inverse word (T**-1 = T**7 = T*P**3), then normalized.  The
-    T count is preserved.  A letter outside the basis passes through
-    unchanged and normalize rejects it.
+    The word is reversed letterwise and translated by rules.inverse, which
+    replaces each Clifford generator by its inverse's canonical word and T
+    by T followed by the phase gate's inverse word (T**-1 = T**7 =
+    T*P**3), then normalized.  The T count is preserved.  A letter outside
+    the basis passes through unchanged and normalize rejects it.
     """
     if (rules.__class__ is not RuleTable
             or table is not None and table is not rules.table):
         rules = _rules("invert", table, rules)
     if not isinstance(circuit, str):
         raise _not_a_circuit("invert", circuit)
-    table = rules.table
-    inv_words = {name: table.words[table.inv[gid]]
-                 for name, gid in table.gen_ids.items()}
-    inv_words["T"] = "T" + inv_words[table.gen_names[1]]
-    return normalize(str.translate(circuit[::-1], str.maketrans(inv_words)),
-                     table, rules)
+    return normalize(circuit[::-1].translate(rules.inverse), rules.table,
+                     rules)

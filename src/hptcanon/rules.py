@@ -32,6 +32,9 @@ class RuleTable:
     (`steps[0]` is None, since T takes the rules instead).  Each code
     character that is not itself a basis letter maps to the sentinel
     chr(255), past the end of `steps`, so it cannot pass for a gate.
+    `inverse` is the str.translate table that invert applies to the
+    reversed circuit: each generator to its inverse's canonical word, and
+    T to T followed by P's inverse word (T**-1 = T**7 = T*P**3).
     """
 
     def __init__(self, table, w1_ids):
@@ -50,6 +53,10 @@ class RuleTable:
             {**{chr(code): "\xff" for code in range(len(letters))},
              **{ch: chr(code) for code, ch in enumerate(letters)}})
         self.steps = (None, *map(table.letter_step.__getitem__, names))
+        inv_words = {name: table.words[table.inv[gid]]
+                     for name, gid in table.gen_ids.items()}
+        inv_words["T"] = "T" + inv_words[names[1]]
+        self.inverse = str.maketrans(inv_words)
 
     def __len__(self):
         return len(self.slots)

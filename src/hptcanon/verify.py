@@ -12,8 +12,7 @@ acceptance gate asserts on these results and their exact details.
 
 import random
 import time
-from itertools import groupby, product
-from operator import itemgetter, lt
+from itertools import product
 from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
@@ -98,31 +97,23 @@ def check_counting(ctx, nmax=12):
     closed forms, and check that they come strictly ordered by
     (len(blocks), blocks, cliff).
 
-    The forms are taken one block tuple at a time (groupby on blocks):
-    inside a group the tails must strictly increase, and from one group
-    to the next (len(blocks), blocks) must strictly increase.  groupby
-    ends a group only where blocks change, so consecutive forms either
-    share blocks and are ordered by their tails, or differ in blocks and
-    are ordered by (len(blocks), blocks) alone: together this is the
-    same strict order on every consecutive pair of forms.
+    The count walks census.block_tuples: each tuple adds table.order
+    forms, whose tails are range(order) and so ordered by construction.
+    So the order holds when (len(blocks), blocks) strictly increases from
+    tuple to tuple, and a tuple that breaks it breaks it at its first
+    form, whose index is the number of forms before it.
     """
     t0 = time.perf_counter()
+    order = ctx["table"].order
     layer = [0] * (nmax + 1)
     prev = None
     broken = None
-    for blocks, forms in groupby(
-            census.enumerate_normal_forms(nmax, ctx["table"]),
-            key=itemgetter(0)):
-        tails = list(map(itemgetter(1), forms))
+    for blocks in census.block_tuples(nmax):
         code = (len(blocks), blocks)
-        if broken is None and not ((prev is None or prev < code)
-                                   and all(map(lt, tails, tails[1:]))):
-            # steps[j] says whether the group's form j is above the form
-            # before it; the first False is the first out-of-order form.
-            steps = [prev is None or prev < code, *map(lt, tails, tails[1:])]
-            broken = sum(layer) + steps.index(False)
+        if broken is None and not (prev is None or prev < code):
+            broken = sum(layer)
         prev = code
-        layer[len(blocks)] += len(tails)
+        layer[len(blocks)] += order
     bad = [(k, got, want) for k, got in enumerate(layer)
            if got != (want := census.count_closed_form(k, exact=True))]
     total = sum(layer)

@@ -55,53 +55,51 @@ def test_enumeration_is_lazy():
         NormalForm((Block.T,), 0)
 
 
-def _swap_tails(forms):
-    forms[200], forms[201] = forms[201], forms[200]
+def _swap_block_groups(tuples):
+    # Layer 1's (HT,) and (PHT,) trade places; counts are kept.
+    tuples[2], tuples[3] = tuples[3], tuples[2]
 
 
-def _swap_block_groups(forms):
-    # Layer 1's (HT,) and (PHT,) groups trade places; counts are kept.
-    forms[384:768] = forms[576:768] + forms[384:576]
+def _duplicate_tuple(tuples):
+    # (T,) comes twice and (HT,) not at all; counts are kept.
+    tuples[2] = tuples[1]
 
 
-def _duplicate_form(forms):
-    forms[201] = forms[200]
+def _move_into_layer_0(tuples):
+    # (T,) comes before the empty tuple; counts are kept.
+    tuples.insert(0, tuples.pop(1))
 
 
-def _move_into_layer_0(forms):
-    forms.insert(100, forms.pop(192))
+def _drop_tuple(tuples):
+    # (T, PHT) is missing, so layer 2 is one tuple short.
+    del tuples[5]
 
 
-def _drop_form(forms):
-    del forms[300]
-
-
-# The detail each mutated enumeration gets: the failed condition is named.
+# The detail each mutated walk of block tuples gets: the failed condition
+# is named.  Per-tail faults cannot arise: the tails are range(order).
 _COUNTING_FAILURES = {
-    _swap_tails: "4224 normal forms, order broken at form 201, "
-                 "layers match closed forms",
     _swap_block_groups: "4224 normal forms, order broken at form 576, "
                         "layers match closed forms",
-    _duplicate_form: "4224 normal forms, order broken at form 201, "
-                     "layers match closed forms",
-    _move_into_layer_0: "4224 normal forms, order broken at form 101, "
+    _duplicate_tuple: "4224 normal forms, order broken at form 384, "
+                      "layers match closed forms",
+    _move_into_layer_0: "4224 normal forms, order broken at form 192, "
                         "layers match closed forms",
-    _drop_form: "4223 normal forms, strictly ordered, layer 1: 575 forms, "
-                "closed form 576, closed-form total 4224",
+    _drop_tuple: "4032 normal forms, strictly ordered, layer 2: 960 forms, "
+                 "closed form 1152, closed-form total 4224",
 }
 
 
 @pytest.mark.parametrize("mutate", list(_COUNTING_FAILURES))
 def test_counting_check_fails_on_misordered_enumeration(table, rules,
                                                         monkeypatch, mutate):
-    real = census.enumerate_normal_forms
+    real = census.block_tuples
 
-    def mutated(n, tab=None):
-        forms = list(real(n, tab))
-        mutate(forms)
-        return iter(forms)
+    def mutated(n):
+        tuples = list(real(n))
+        mutate(tuples)
+        return iter(tuples)
 
-    monkeypatch.setattr(census, "enumerate_normal_forms", mutated)
+    monkeypatch.setattr(census, "block_tuples", mutated)
     res = verify.check_counting({"table": table, "rules": rules}, nmax=3)
     assert not res.ok
     assert res.detail == f"n<=3: {_COUNTING_FAILURES[mutate]}"
@@ -216,6 +214,8 @@ def test_negative_n_is_rejected(table):
     with pytest.raises(ValueError, match=msg):
         count_closed_form(-1)
     with pytest.raises(ValueError, match=msg):
+        census.block_tuples(-1)
+    with pytest.raises(ValueError, match=msg):
         enumerate_normal_forms(-1, table)
     with pytest.raises(ValueError, match=msg):
         brute_force_mn(-1, table)
@@ -223,6 +223,19 @@ def test_negative_n_is_rejected(table):
         verify_uniqueness(-1, table)
     with pytest.raises(TypeError, match="n must be an int, not float"):
         count_closed_form(1.5)
+    with pytest.raises(TypeError, match="n must be an int, not float"):
+        verify_uniqueness(1.5, table)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((entry, bad) for entry in ("enumerate_normal_forms", "verify_uniqueness",
+                                 "brute_force_mn") for bad in ("x", 192)),
+    ("verify_uniqueness", None), ("brute_force_mn", None)])
+def test_a_table_that_is_not_a_group_table_is_a_named_type_error(entry, bad):
+    msg = (rf"^{entry}\(\) table must be a GroupTable, "
+           rf"not {type(bad).__name__}$")
+    with pytest.raises(TypeError, match=msg):
+        getattr(census, entry)(1, bad)
 
 
 def test_verify_uniqueness_with_oracle(table):

@@ -153,8 +153,8 @@ MUTANTS = (
            "return evaluate(word, table.gates) * tail",
            "return evaluate(word, table.gates)"),
     Mutant("invert writes T**-1 as T*P**3",
-           "src/hptcanon/normalize.py",
-           'inv_words["T"] = "T" + inv_words[table.gen_names[1]]',
+           "src/hptcanon/rules.py",
+           'inv_words["T"] = "T" + inv_words[names[1]]',
            'inv_words["T"] = "T"'),
     # census: counting, enumeration and the oracle.
     Mutant("the closed form holds at n = 13",
@@ -165,6 +165,14 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "for k in range(1, n + 1)))",
            "for k in range(1, n)))"),
+    Mutant("enumerate_normal_forms pairs each block tuple with every tail",
+           "src/hptcanon/census.py",
+           "product((blocks,), tails) for blocks in block_tuples(n)))",
+           "product((blocks,), tails[:-1]) for blocks in block_tuples(n)))"),
+    Mutant("census refuses a table that is not a GroupTable",
+           "src/hptcanon/census.py",
+           "    if not isinstance(table, GroupTable):\n",
+           "    if False:\n"),
     Mutant("_flat_mul: omega**4 = -1 folds with a sign",
            "src/hptcanon/census.py",
            "a0 = xa0*ya0 - xb0*yd0",
@@ -179,12 +187,16 @@ MUTANTS = (
            "(d0, a0, b0, c0, -d1, a1, b1, c1),"),
     Mutant("verify_uniqueness refuses two forms with one matrix",
            "src/hptcanon/census.py",
-           "            if other is not None:\n",
+           "            if key in seen:\n",
            "            if False:\n"),
     Mutant("verify_uniqueness compares the enumeration with the oracle",
            "src/hptcanon/census.py",
            "if set(seen) != okeys:",
            "if False:"),
+    Mutant("verify_uniqueness counts a block tuple as order forms",
+           "src/hptcanon/census.py",
+           "layer_counts[len(blocks)] += order",
+           "layer_counts[len(blocks)] += order - 1"),
     Mutant("the oracle's frontier is the last layer's orbits",
            "src/hptcanon/census.py",
            "frontier = _orbit_reps(new, pairs)",
@@ -227,6 +239,10 @@ MUTANTS = (
            "src/hptcanon/verify.py",
            "def check_counting(ctx, nmax=12):",
            "def check_counting(ctx, nmax=11):"),
+    Mutant("counting refuses a block tuple equal to the one before",
+           "src/hptcanon/verify.py",
+           "not (prev is None or prev < code)",
+           "not (prev is None or prev <= code)"),
     Mutant("remark-r-basis fails without rules",
            "src/hptcanon/verify.py",
            '_result("remark-r-basis", t0, False, detail + "False")',
