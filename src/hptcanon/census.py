@@ -16,7 +16,7 @@ The entry points take the group table they count over (<R,P> too).
 from functools import partial
 from itertools import chain, product
 
-from .group import GroupTable
+from .group import _check_table
 from .normalize import Block, NormalForm, normal_form_matrix
 
 
@@ -30,13 +30,6 @@ def _check_n(n):
         raise TypeError(f"n must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-
-
-def _check_table(table, caller):
-    # The one guard of every entry point that takes a GroupTable.
-    if not isinstance(table, GroupTable):
-        raise TypeError(f"{caller}() table must be a GroupTable, "
-                        f"not {type(table).__name__}")
 
 
 def count_closed_form(n, exact=False, order=192):

@@ -190,6 +190,13 @@ class GroupTable:
         return out
 
 
+def _check_table(table, caller):
+    # The one guard of every entry point that takes a GroupTable.
+    if not isinstance(table, GroupTable):
+        raise TypeError(f"{caller}() table must be a GroupTable, "
+                        f"not {type(table).__name__}")
+
+
 def build_standard_table():
     """The 192-element group generated by H and P, with T-cosets."""
     return GroupTable([("H", ring.H), ("P", ring.P)])
@@ -201,6 +208,7 @@ def subgroup_ct(table):
     Same set as table.ct_ids; kept separate so tests can cross-check the
     stored value against the definition.
     """
+    _check_table(table, "subgroup_ct")
     t = table.t_mat
     t_adj = t.adjoint()
     return frozenset(i for i, m in enumerate(table.elements)
@@ -214,6 +222,7 @@ def quotient_profile(table):
     with everything, so left and right cosets agree and the quotient is a
     genuine group on the canonical (minimum-id) coset representatives.
     """
+    _check_table(table, "quotient_profile")
     mul = table.mul
     scalars = table.scalar_ids
     for s in scalars:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import ring
-from .group import build_standard_table
+from .group import _check_table, build_standard_table
 from .rules import RuleTable, build_rules
 
 
@@ -94,67 +94,95 @@ def parse(text):
     return "".join(text.translate(_IGNORED).split())
 
 
+def _unitary_key(k, j, a0, b0, c0, d0, a1, b1, c1, d1):
+    # Key of the unitary with row 0 (e00, e01) = (a0..d0, a1..d1) over
+    # sqrt2**k and determinant omega**j.  Its row 1 is omega**j *
+    # (-conj(e01), conj(e00)), and coefficient i of omega**j * conj(x) is
+    # item (j - i) mod 8 of (x, -x): a negative index wraps mod 8 here.
+    x0 = a0, b0, c0, d0, -a0, -b0, -c0, -d0
+    x1 = -a1, -b1, -c1, -d1, a1, b1, c1, d1
+    j &= 7
+    return (k, a0, b0, c0, d0, a1, b1, c1, d1,
+            x1[j], x1[j - 1], x1[j - 2], x1[j - 3],
+            x0[j], x0[j - 1], x0[j - 2], x0[j - 3])
+
+
 def evaluate(circuit, gates=ring.GATES):
     """Exact matrix of a circuit: gate matrices multiplied in string
     order, leftmost gate leftmost factor.  Empty circuit is the identity.
 
     An independent word-level product (it never consults the group
-    tables or the normalizer), run on the flat key of UMat2 held in 16
-    local numerators plus the sqrt2 exponent k.  Gates are dispatched by
-    identity: the ring's own T and P (which ring.GATES and every
-    GroupTable.gates hold) rotate the coefficients of column 1 by omega
-    and omega**2, the ring's own H replaces the columns by their sum and
-    difference with k + 1, and any other matrix, equal to one of them or
-    not, takes the exact generic flat product; a gate that is not a UMat2
-    raises TypeError.  The mapping is read at each gate, so a caller's
-    later change to it is always seen.  These steps are inline, not calls
-    of ring._gate_mul, which takes the same H and P steps: evaluate stays
-    an independent oracle for the ring code, and a call per gate would
-    cost it a frame per gate.
+    tables or the normalizer).  It carries only row 0 of the running
+    product, the flat key's 8 numerators of e00 and e01 over sqrt2**k,
+    plus j, the exponent of its determinant omega**j.  Gates are
+    dispatched by identity: the ring's own T and P (which ring.GATES and
+    every GroupTable.gates hold) rotate e01 by omega and omega**2 and add
+    1 and 2 to j, and the ring's own H replaces e00 and e01 by their sum
+    and difference with k + 1 and adds 4 to j (det H = -1).  Row 1 is
+    rebuilt once, as omega**j * (-conj(e01), conj(e00)), where conj(a, b,
+    c, d) = (a, -d, -c, -b).  That holds exactly for every unitary with
+    determinant omega**j, and a product of these three gates is one.
+    Conjugation and units keep sqrt2 divisibility, so row 1 is divisible
+    exactly when row 0 is, and the reduction over row 0 alone leaves the
+    whole key canonical.
+
+    Any other matrix, equal to one of them or not, flushes: the run of
+    ring gates since the last such gate is completed to its full key and
+    multiplied in by the exact generic flat product, then the matrix
+    itself, so the rebuild never crosses a matrix that is not known to
+    be unitary.  A gate that is not a UMat2 raises TypeError.  The
+    mapping is read at each gate, so a caller's later change to it is
+    always seen.  These steps are inline, not calls of ring._gate_mul:
+    evaluate stays an independent oracle for the ring code, and a call
+    per gate would cost it a frame per gate.
     """
     T, H, P = ring.T, ring.H, ring.P
-    k = b0 = c0 = d0 = a1 = b1 = c1 = d1 = a2 = b2 = c2 = d2 = 0
-    b3 = c3 = d3 = 0
-    a0 = a3 = 1
+    # done: key of the product up to the last generic gate, if any.
+    done = None
+    k = j = b0 = c0 = d0 = a1 = b1 = c1 = d1 = 0
+    a0 = 1
     for ch in circuit:
         try:
             m = gates[ch]
         except KeyError:
             raise ValueError(f"gate {ch!r} not in this basis") from None
         if m is T:
-            # T: column 1 times omega, (a, b, c, d) -> (-d, a, b, c).
-            a1, b1, c1, d1, a3, b3, c3, d3 = -d1, a1, b1, c1, -d3, a3, b3, c3
+            # T: e01 times omega, (a, b, c, d) -> (-d, a, b, c).
+            a1, b1, c1, d1 = -d1, a1, b1, c1
+            j += 1
         elif m is H:
-            # H: columns become their sum and difference over sqrt2.
+            # H: e00 and e01 become their sum and difference over sqrt2.
             k += 1
+            j += 4
             a0, b0, c0, d0, a1, b1, c1, d1 = (
                 a0 + a1, b0 + b1, c0 + c1, d0 + d1,
                 a0 - a1, b0 - b1, c0 - c1, d0 - d1)
-            a2, b2, c2, d2, a3, b3, c3, d3 = (
-                a2 + a3, b2 + b3, c2 + c3, d2 + d3,
-                a2 - a3, b2 - b3, c2 - c3, d2 - d3)
-            while k and not ((a0 ^ c0) | (b0 ^ d0) | (a1 ^ c1) | (b1 ^ d1)
-                             | (a2 ^ c2) | (b2 ^ d2) | (a3 ^ c3)
-                             | (b3 ^ d3)) & 1:
-                # Every entry is divisible by sqrt2 (see ring._reduced).
+            while k and not ((a0 ^ c0) | (b0 ^ d0)
+                             | (a1 ^ c1) | (b1 ^ d1)) & 1:
+                # Row 0, and so row 1, is divisible by sqrt2 (see
+                # ring._reduced).
                 a0, b0, c0, d0 = (b0 - d0) >> 1, (a0 + c0) >> 1, (b0 + d0) >> 1, (c0 - a0) >> 1
                 a1, b1, c1, d1 = (b1 - d1) >> 1, (a1 + c1) >> 1, (b1 + d1) >> 1, (c1 - a1) >> 1
-                a2, b2, c2, d2 = (b2 - d2) >> 1, (a2 + c2) >> 1, (b2 + d2) >> 1, (c2 - a2) >> 1
-                a3, b3, c3, d3 = (b3 - d3) >> 1, (a3 + c3) >> 1, (b3 + d3) >> 1, (c3 - a3) >> 1
                 k -= 1
         elif m is P:
-            # P: column 1 times omega**2 = i.
-            a1, b1, c1, d1, a3, b3, c3, d3 = -c1, -d1, a1, b1, -c3, -d3, a3, b3
+            # P: e01 times omega**2 = i.
+            a1, b1, c1, d1 = -c1, -d1, a1, b1
+            j += 2
         elif not isinstance(m, ring.UMat2):
             raise TypeError(f"evaluate() gate {ch!r} must be a UMat2, "
                             f"not {type(m).__name__}")
         else:
-            (k, a0, b0, c0, d0, a1, b1, c1, d1,
-             a2, b2, c2, d2, a3, b3, c3, d3) = ring._mat_mul(
-                (k, a0, b0, c0, d0, a1, b1, c1, d1,
-                 a2, b2, c2, d2, a3, b3, c3, d3), m.scaled_key())
-    return ring.UMat2._raw((k, a0, b0, c0, d0, a1, b1, c1, d1,
-                            a2, b2, c2, d2, a3, b3, c3, d3))
+            key = m.scaled_key()
+            # Every ring gate adds to j, so j is 0 exactly when the run
+            # since the last generic gate is empty.
+            if j:
+                key = ring._mat_mul(
+                    _unitary_key(k, j, a0, b0, c0, d0, a1, b1, c1, d1), key)
+                k = j = b0 = c0 = d0 = a1 = b1 = c1 = d1 = 0
+                a0 = 1
+            done = key if done is None else ring._mat_mul(done, key)
+    key = _unitary_key(k, j, a0, b0, c0, d0, a1, b1, c1, d1)
+    return ring.UMat2._raw(key if done is None else ring._mat_mul(done, key))
 
 
 def _not_a_circuit(caller, circuit):
@@ -233,6 +261,7 @@ def _check_form(nf, table, caller):
     if not isinstance(nf, NormalForm):
         raise TypeError(f"{caller}() form must be a NormalForm, "
                         f"not {type(nf).__name__}")
+    _check_table(table, caller)
     if not (0 <= nf.cliff < len(table.elements)
             and _BLOCK_SET.issuperset(nf.blocks)):
         raise ValueError(f"{nf!r} is not a normal form of this table")

@@ -10,6 +10,8 @@ these as pure table lookups.
 
 from __future__ import annotations
 
+from .group import _check_table
+
 
 class RuleDerivationFailure(Exception):
     """The coset decomposition behind the rules does not hold, so some
@@ -63,6 +65,7 @@ class RuleTable:
 
 
 def build_rules(table):
+    _check_table(table, "build_rules")
     # untwist[x] is the id of T_adj * elements[x] * T; x is missing when
     # that matrix is not an element.
     untwist = {c: g for g, c in enumerate(table.t_conj) if c is not None}

@@ -14,6 +14,7 @@ from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from . import ring
+from .group import _check_table
 from .normalize import Block, _check_form, normal_form_matrix
 
 
@@ -76,6 +77,7 @@ def initial_stab(w0, table):
     one outside 0..order-1 raises ValueError.  An element that does not
     map Z to a signed Pauli raises NotSignedPauli on every call; a failure
     is never memoised."""
+    _check_table(table, "initial_stab")
     if not 0 <= w0 < table.order:
         raise ValueError(f"element id {w0!r} is not in this table "
                          f"(order {table.order})")

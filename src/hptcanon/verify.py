@@ -167,10 +167,11 @@ def check_soundness(ctx):
     for w in words:
         nf = normalize(w, table, rules)
         m = evaluate(w)
-        if evaluate(parse(render(nf, table))) != m:
+        text = parse(render(nf, table))
+        if evaluate(text) != m:
             failures += 1
             continue
-        if normalize(parse(render(nf, table)), table, rules) != nf:
+        if normalize(text, table, rules) != nf:
             failures += 1
             continue
         key = m.scaled_key()

@@ -183,6 +183,33 @@ def test_evaluate_alternate_basis_matches_float_shadow():
         assert got.scaled_key() == _oracle_key(w, gates)
 
 
+def test_evaluate_flushes_its_run_at_a_non_unitary_gate():
+    # N is not unitary, so evaluate cannot rebuild row 1 across it: each
+    # N must close the run of ring gates before it, and runs may be empty
+    # (N first, last or twice in a row).
+    gates = {**ring.GATES, "N": ring.UMat2(ring.ONE, ring.ONE, ring.ZERO,
+                                           ring.ONE)}
+    rng = random.Random(73)
+    words = ["N", "NN", "HN", "NH", "TNNT", "HTNPHNNTH"]
+    words += ["".join(rng.choices("HPTN", weights=(3, 3, 3, 1),
+                                  k=rng.randrange(0, 120)))
+              for _ in range(300)]
+    for w in words:
+        assert evaluate(w, gates).scaled_key() == _oracle_key(w, gates), w
+
+
+def test_evaluate_dispatches_on_gate_objects_not_letters():
+    # The determinant exponent follows the matrix a letter maps to: X, Y
+    # and Z take the T, H and P steps.
+    gates = {"X": ring.T, "Y": ring.H, "Z": ring.P}
+    rng = random.Random(79)
+    words = ["".join(w) for n in range(6) for w in product("XYZ", repeat=n)]
+    words += ["".join(rng.choices("XYZ", k=rng.randrange(6, 300)))
+              for _ in range(100)]
+    for w in words:
+        assert evaluate(w, gates).scaled_key() == _oracle_key(w, gates), w
+
+
 def test_missing_rules_is_a_named_type_error(table, rules, r_rules):
     r_table = r_rules.table
     for name, call in [

@@ -66,7 +66,11 @@ MUTANTS = (
            "src/hptcanon/ring.py",
            "e0 = p0*a0 - q0*d0",
            "e0 = p0*a0 + q0*d0"),
-    # group: closure and derived tables.
+    # group: closure, derived tables and the table guard.
+    Mutant("the table guard refuses a table that is not a GroupTable",
+           "src/hptcanon/group.py",
+           "    if not isinstance(table, GroupTable):\n",
+           "    if False:\n"),
     Mutant("right_products walks from each element's parent",
            "src/hptcanon/group.py",
            "append(_gate_mul(out[p], gate))",
@@ -132,10 +136,24 @@ MUTANTS = (
            'prefix = "" if label == "I" else label',
            "prefix = label"),
     # normalize: parse, evaluate, the fold and the guard.
-    Mutant("evaluate's T step multiplies column 1 by omega",
+    Mutant("evaluate's T step multiplies e01 by omega",
            "src/hptcanon/normalize.py",
-           "a1, b1, c1, d1, a3, b3, c3, d3 = -d1, a1, b1, c1, -d3, a3, b3, c3",
-           "a1, b1, c1, d1, a3, b3, c3, d3 = d1, a1, b1, c1, -d3, a3, b3, c3"),
+           "a1, b1, c1, d1 = -d1, a1, b1, c1",
+           "a1, b1, c1, d1 = d1, a1, b1, c1"),
+    Mutant("evaluate's H step multiplies the determinant by omega**4",
+           "src/hptcanon/normalize.py",
+           "            j += 4\n",
+           "            j += 0\n"),
+    Mutant("evaluate's row 1 is -omega**j * conj(e01) first",
+           "src/hptcanon/normalize.py",
+           "x1 = -a1, -b1, -c1, -d1, a1, b1, c1, d1",
+           "x1 = -a1, -b1, -c1, d1, a1, b1, c1, d1"),
+    Mutant("evaluate multiplies in the pending run at a generic gate",
+           "src/hptcanon/normalize.py",
+           "                key = ring._mat_mul(\n"
+           "                    _unitary_key(k, j, a0, b0, c0, d0, a1, b1, c1, "
+           "d1), key)\n",
+           ""),
     Mutant("_rules refuses a table that is not rules.table",
            "src/hptcanon/normalize.py",
            "    if table is None:\n        return rules\n",
@@ -148,6 +166,10 @@ MUTANTS = (
            "src/hptcanon/normalize.py",
            '_IGNORED = str.maketrans("", "", "I.|")',
            '_IGNORED = str.maketrans("", "", "I.")'),
+    Mutant("a form's entry points refuse a table that is not a GroupTable",
+           "src/hptcanon/normalize.py",
+           "    _check_table(table, caller)\n",
+           ""),
     Mutant("normal_form_matrix keeps the Clifford tail",
            "src/hptcanon/normalize.py",
            "return evaluate(word, table.gates) * tail",
@@ -169,10 +191,6 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "product((blocks,), tails) for blocks in block_tuples(n)))",
            "product((blocks,), tails[:-1]) for blocks in block_tuples(n)))"),
-    Mutant("census refuses a table that is not a GroupTable",
-           "src/hptcanon/census.py",
-           "    if not isinstance(table, GroupTable):\n",
-           "    if False:\n"),
     Mutant("_flat_mul: omega**4 = -1 folds with a sign",
            "src/hptcanon/census.py",
            "a0 = xa0*ya0 - xb0*yd0",
