@@ -211,24 +211,43 @@ def verify_uniqueness(n, table, with_oracle=True):
     the one count returned is the number of normal forms, of distinct
     matrices and (when enabled) of oracle keys alike.
 
-    Per block tuple, one walk of the closure tree (right_products) gives
-    its matrix times every tail, read by tail id; forms are kept as
-    (blocks, tail) pairs, made NormalForms only for a failure message."""
+    The forms of a block tuple with matrix B are the coset B*G: one walk
+    of the closure tree (right_products) gives their keys, read by tail
+    id.  B is invertible and the elements are distinct, so one tuple's
+    forms never collide; two cosets are equal or disjoint, so distinct
+    minimum keys mean distinct matrices.  So one key per tuple is kept,
+    not one per form.  The oracle's set must hold every coset, and is
+    equal to the forms' when it also has as many keys as there are forms."""
     _check_n(n)
     _check_table(table, "verify_uniqueness")
+    okeys = brute_force_mn(n, table)[0] if with_oracle else None
     order = table.order
+
+    def products(blocks):
+        return table.right_products(normal_form_matrix(
+            NormalForm(blocks, 0), table).scaled_key())
+
+    def oracle_mismatch():
+        keys = set(chain.from_iterable(map(products, block_tuples(n))))
+        return VerificationFailure(
+            "enumeration/oracle sets differ: enumerated-only key "
+            f"{next(iter(keys - okeys), None)}, oracle-only key "
+            f"{next(iter(okeys - keys), None)}")
+
     seen = {}
     layer_counts = [0] * (n + 1)
     for blocks in block_tuples(n):
-        keys = table.right_products(
-            normal_form_matrix(NormalForm(blocks, 0), table).scaled_key())
-        for cliff in range(order):
-            key = keys[cliff]
-            if key in seen:
-                raise VerificationFailure(
-                    "distinct normal forms share a matrix: "
-                    f"{NormalForm(*seen[key])} vs {NormalForm(blocks, cliff)}")
-            seen[key] = blocks, cliff
+        keys = products(blocks)
+        key = min(keys)
+        other = seen.get(key)
+        if other is not None:
+            raise VerificationFailure(
+                "distinct normal forms share a matrix: "
+                f"{NormalForm(other, products(other).index(key))} vs "
+                f"{NormalForm(blocks, keys.index(key))}")
+        seen[key] = blocks
+        if okeys is not None and not okeys.issuperset(keys):
+            raise oracle_mismatch()
         layer_counts[len(blocks)] += order
     for k, got in enumerate(layer_counts):
         want = count_closed_form(k, exact=True, order=order)
@@ -239,14 +258,6 @@ def verify_uniqueness(n, table, with_oracle=True):
     if total != count_closed_form(n, order=order):
         raise VerificationFailure(
             f"total {total} != closed form {count_closed_form(n, order=order)}")
-
-    if with_oracle:
-        okeys, _ = brute_force_mn(n, table)
-        if set(seen) != okeys:
-            extra = next(iter(set(seen) - okeys), None)
-            missing = next(iter(okeys - set(seen)), None)
-            raise VerificationFailure(
-                f"enumeration/oracle sets differ: enumerated-only key "
-                f"{extra}, oracle-only key {missing}")
+    if okeys is not None and len(okeys) != total:
+        raise oracle_mismatch()
     return total
-

@@ -9,6 +9,7 @@ normal forms with T gates cannot be the identity.
 """
 
 from enum import Enum
+from functools import reduce
 from itertools import accumulate, product
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -59,6 +60,17 @@ _CLASS_BY_PARITY = {
     (1, 1, 0, 1, 1, 1): ParityClass.T8,
     (1, 1, 1, 1, 0, 1): ParityClass.T9,
 }
+# The same classes by parity_code: the parity tuple read as binary.
+_CLASS_BY_CODE = tuple(_CLASS_BY_PARITY.get(parity, ParityClass.OTHER)
+                       for parity in product((0, 1), repeat=6))
+
+
+def _check_triple(st, caller):
+    # The one guard of the functions that take a StabTriple.  They call it
+    # only once their work has failed, so a triple pays nothing for it.
+    if not isinstance(st, StabTriple):
+        raise TypeError(f"{caller}() triple must be a StabTriple, "
+                        f"not {type(st).__name__}") from None
 
 
 # Per table, the axes initial_stab has computed so far, indexed by
@@ -103,22 +115,41 @@ _T, _HT, _PHT = map(int, (Block.T, Block.HT, Block.PHT))
 def step_block(st, block):
     """Triple for block * (current state); one more sqrt2 in the
     denominator, pure integer updates on the six coefficients."""
-    (xa, xb), (ya, yb), (za, zb) = st.x, st.y, st.z
+    try:
+        (xa, xb), (ya, yb), (za, zb), level = st
+    except (TypeError, ValueError):
+        _check_triple(st, "step_block")
+        raise
     if block == _T:
-        nxt = (xa - ya, xb - yb), (xa + ya, xb + yb), (2 * zb, za)
+        nxt = (xa - ya, xb - yb), (xa + ya, xb + yb), (2 * zb, za), level + 1
     elif block == _HT:
-        nxt = (2 * zb, za), (-xa - ya, -xb - yb), (xa - ya, xb - yb)
+        nxt = (2 * zb, za), (-xa - ya, -xb - yb), (xa - ya, xb - yb), level + 1
     elif block == _PHT:
-        nxt = (xa + ya, xb + yb), (2 * zb, za), (xa - ya, xb - yb)
+        nxt = (xa + ya, xb + yb), (2 * zb, za), (xa - ya, xb - yb), level + 1
     else:
         raise ValueError(f"unknown block {block!r}")
-    return StabTriple(*nxt, st.level + 1)
+    return tuple.__new__(StabTriple, nxt)
+
+
+def parity_code(st):
+    """The parities of (x_a, x_b, y_a, y_b, z_a, z_b), 1 = odd, as the
+    bits of a 6-bit code, x_a the highest."""
+    try:
+        (xa, xb), (ya, yb), (za, zb), _ = st
+        return ((xa & 1) * 32 + (xb & 1) * 16 + (ya & 1) * 8
+                + (yb & 1) * 4 + (za & 1) * 2 + (zb & 1))
+    except (TypeError, ValueError):
+        _check_triple(st, "parity_code")
+        raise
 
 
 def classify(st):
-    parity = (st.x[0] & 1, st.x[1] & 1, st.y[0] & 1, st.y[1] & 1,
-              st.z[0] & 1, st.z[1] & 1)
-    return _CLASS_BY_PARITY.get(parity, ParityClass.OTHER)
+    """The parity class of st, T1..T9 or OTHER."""
+    try:
+        return _CLASS_BY_CODE[parity_code(st)]
+    except TypeError:
+        _check_triple(st, "classify")
+        raise
 
 
 def _check_chain(nf, table, caller):
@@ -141,7 +172,9 @@ def stab_trace(nf, table):
 
 def stab_of_normal_form(nf, table):
     """The triple of the whole form: the last item of stab_trace."""
-    return stab_trace(nf, table)[-1]
+    _check_chain(nf, table, "stab_of_normal_form")
+    return reduce(step_block, reversed(nf.blocks),
+                  initial_stab(nf.cliff, table))
 
 
 def _numerators(st):
@@ -175,6 +208,7 @@ def step_law_counterexample(table):
     So the six unit triples at levels 0 and 1, for each of the three
     blocks, prove the law for every triple: 36 exact comparisons.
     """
+    _check_table(table, "step_law_counterexample")
     for b in Block:
         m = table.block_matrices[b]
         for level in (0, 1):
@@ -217,9 +251,9 @@ def nonidentity_witness(nf, table):
     the output state is not (0,0,+-1) and the state differs from |0>.
     A block tuple outside the normal-form language raises ValueError.
     """
+    _check_chain(nf, table, "nonidentity_witness")
     if not nf.blocks:
         raise NoTGates("normal form has no T blocks")
     if len(nf.blocks) <= 2:
-        _check_chain(nf, table, "nonidentity_witness")
         return normal_form_matrix(nf, table) != ring.IDENTITY
     return classify(stab_of_normal_form(nf, table)) is not ParityClass.OTHER

@@ -12,7 +12,7 @@ acceptance gate asserts on these results and their exact details.
 
 import random
 import time
-from itertools import product
+from itertools import islice, product, repeat
 from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
@@ -245,6 +245,14 @@ _LAW = {
 _FAMILY = {stab.ParityClass.T1: "A", stab.ParityClass.T2: "A",
            stab.ParityClass.T4: "B", stab.ParityClass.T5: "B",
            stab.ParityClass.T7: "C", stab.ParityClass.T8: "C"}
+# By stab.parity_code: the class _LAW demands after each block, indexed
+# by block, or None for a code whose class is in no family.
+_LAW_BY_CODE = tuple(
+    None if (fam := _FAMILY.get(cls)) is None
+    else tuple(_LAW[fam, b] for b in Block)
+    for cls in stab._CLASS_BY_CODE)
+_FIRST_BLOCKS = (Block.T, Block.HT, Block.PHT)
+_REST_BLOCKS = (Block.HT, Block.PHT)
 
 
 def check_stab_chains(ctx, count=10000, seed=20260825):
@@ -269,31 +277,31 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     t0 = time.perf_counter()
     table = ctx["table"]
     counterexample = stab.step_law_counterexample(table)
+    classes = stab._CLASS_BY_CODE
     rng = random.Random(seed)
+    choice = rng.choice
     failures = 0
     law_checks = 0
     for _ in range(count):
         k = rng.randint(2, 30)
-        blocks = (rng.choice((Block.T, Block.HT, Block.PHT)),) + tuple(
-            rng.choice((Block.HT, Block.PHT)) for _ in range(k - 1))
+        blocks = (choice(_FIRST_BLOCKS),
+                  *map(choice, repeat(_REST_BLOCKS, k - 1)))
         cliff = rng.randrange(table.order)
         nf = NormalForm(blocks, cliff)
         trace = stab.stab_trace(nf, table)
-        prev = stab.classify(trace[0])
+        codes = list(map(stab.parity_code, trace))
+        law = _LAW_BY_CODE[codes[0]]
         ok = True
-        for b, st in zip(reversed(blocks), trace[1:]):
-            cur = stab.classify(st)
-            fam = _FAMILY.get(prev)
-            if fam is not None:
+        for b, code in zip(reversed(blocks), islice(codes, 1, None)):
+            if law is not None:
                 law_checks += 1
-                if cur != _LAW[(fam, b)]:
+                if classes[code] is not law[b]:
                     ok = False
                     break
-            prev = cur
-        # prev is now the final class.
+            law = _LAW_BY_CODE[code]
         m = normal_form_matrix(nf, table)
         if (not ok or trace[-1].level != k
-                or prev is stab.ParityClass.OTHER
+                or classes[codes[-1]] is stab.ParityClass.OTHER
                 or m == ring.IDENTITY
                 or not stab.verify_stabilizes(trace[-1], m)):
             failures += 1

@@ -122,10 +122,11 @@ def test_criterion_9_stabilizer_machinery(accept):
 
 def test_stabilizer_chains_must_end_in_a_parity_class(table, rules,
                                                       monkeypatch):
-    # Every class read as OTHER: no transition law applies, so only the
-    # terminal-class condition can fail these chains.
+    # Every triple read as parity code 0, class OTHER: no transition law
+    # applies, so only the terminal-class condition can fail these chains.
+    assert stab._CLASS_BY_CODE[0] is stab.ParityClass.OTHER
     monkeypatch.setattr(verify, "stab", types.SimpleNamespace(
-        **{**vars(stab), "classify": lambda st: stab.ParityClass.OTHER}))
+        **{**vars(stab), "parity_code": lambda st: 0}))
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (res.ok, res.detail) == (
         False, "20 chains, 0 transition-law checks, 20 failures, "

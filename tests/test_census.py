@@ -1,5 +1,6 @@
 """Normal-form enumeration, counting formulas, brute-force oracles."""
 
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -8,7 +9,7 @@ from hptcanon import census, ring, verify
 from hptcanon.census import (brute_force_mn, count_closed_form,
                              enumerate_normal_forms, verify_uniqueness)
 from hptcanon.group import GroupTable
-from hptcanon.normalize import Block, NormalForm
+from hptcanon.normalize import Block, NormalForm, normal_form_matrix
 from hptcanon.ring import UMat2
 
 
@@ -244,6 +245,27 @@ def test_verify_uniqueness_with_oracle(table):
     assert verify_uniqueness(2, table, with_oracle=False) == 1920
 
 
+@pytest.mark.parametrize("basis", ["HP", "RP"])
+def test_a_block_tuples_coset_has_order_distinct_keys(basis, table, r_rules):
+    # The step that lets verify_uniqueness keep one key per block tuple: B
+    # is invertible, so B*g runs through order distinct keys.
+    tab = table if basis == "HP" else r_rules.table
+    for blocks in census.block_tuples(5):
+        m = normal_form_matrix(NormalForm(blocks, 0), tab)
+        assert len(set(tab.right_products(m.scaled_key()))) == tab.order
+
+
+def test_verify_uniqueness_keeps_one_key_per_block_tuple(table):
+    verify_uniqueness(6, table, with_oracle=False)
+    tracemalloc.start()
+    try:
+        verify_uniqueness(6, table, with_oracle=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_verify_uniqueness_fails_on_a_shared_matrix(table, monkeypatch):
     # Every block tuple gets the same matrix, so the forms T|g and |g
     # collide.
@@ -254,14 +276,51 @@ def test_verify_uniqueness_fails_on_a_shared_matrix(table, monkeypatch):
         verify_uniqueness(1, table, with_oracle=False)
 
 
+def test_verify_uniqueness_finds_a_collision_inside_a_coset(table,
+                                                            monkeypatch):
+    # (T,) gets the matrix H, so its forms H*g are the forms |g in
+    # another order.  H*g and g differ for each g, so comparing the keys
+    # of tail 0 alone would miss it; the cosets' minimum keys are equal.
+    real = census.normal_form_matrix
+    h_id = table.gen_ids["H"]
+
+    def h_for_t(nf, tab):
+        return ring.H if nf.blocks == (Block.T,) else real(nf, tab)
+
+    monkeypatch.setattr(census, "normal_form_matrix", h_for_t)
+    keys = [m.scaled_key() for m in table.elements]
+    low = keys.index(min(keys))
+    with pytest.raises(census.VerificationFailure) as failure:
+        verify_uniqueness(1, table, with_oracle=False)
+    assert str(failure.value) == (
+        "distinct normal forms share a matrix: "
+        f"{NormalForm((), low)} vs "
+        f"{NormalForm((Block.T,), table.mul[table.inv[h_id]][low])}")
+
+
+# The zero matrix: a key that no form and no oracle step can produce.
+_FOREIGN = (0,) * 17
+
+
 def test_verify_uniqueness_fails_when_the_oracle_differs(table, monkeypatch):
+    # The oracle's set one key short fails a block tuple's superset check,
+    # one key extra only the final count, one key swapped only the
+    # superset check.  The message names a key of each side, or None.
     oracle = census.brute_force_mn
+    low = min(oracle(1, table)[0])
+    for short, extra in ((True, False), (False, True), (True, True)):
+        def changed(n, tab, short=short, extra=extra):
+            keys, layers = oracle(n, tab)
+            if short:
+                keys = keys - {low}
+            if extra:
+                keys = keys | {_FOREIGN}
+            return keys, layers
 
-    def one_key_short(n, tab):
-        keys, layers = oracle(n, tab)
-        return keys - {min(keys)}, layers
-
-    monkeypatch.setattr(census, "brute_force_mn", one_key_short)
-    with pytest.raises(census.VerificationFailure,
-                       match="^enumeration/oracle sets differ: "):
-        verify_uniqueness(1, table)
+        monkeypatch.setattr(census, "brute_force_mn", changed)
+        with pytest.raises(census.VerificationFailure) as failure:
+            verify_uniqueness(1, table)
+        assert str(failure.value) == (
+            "enumeration/oracle sets differ: enumerated-only key "
+            f"{low if short else None}, oracle-only key "
+            f"{_FOREIGN if extra else None}")

@@ -10,7 +10,8 @@ from hptcanon.group import (ClosureExceedsLimit, GroupTable, quotient_profile,
 from hptcanon.normalize import (Block, NormalForm, evaluate,
                                 normal_form_matrix, render)
 from hptcanon.rules import build_rules
-from hptcanon.stab import initial_stab, stab_trace
+from hptcanon.stab import (initial_stab, stab_of_normal_form, stab_trace,
+                           step_law_counterexample)
 
 
 def test_order_and_identity_word(table):
@@ -145,6 +146,9 @@ _TABLE_CALLS = {
     "normal_form_matrix": lambda bad: normal_form_matrix(NormalForm((), 0),
                                                          bad),
     "stab_trace": lambda bad: stab_trace(NormalForm((), 0), bad),
+    "stab_of_normal_form": lambda bad: stab_of_normal_form(NormalForm((), 0),
+                                                           bad),
+    "step_law_counterexample": step_law_counterexample,
     "initial_stab": lambda bad: initial_stab(0, bad),
     "quotient_profile": quotient_profile,
     "subgroup_ct": subgroup_ct,

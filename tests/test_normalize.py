@@ -13,7 +13,8 @@ from hptcanon import normalize as normalize_mod
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
-from hptcanon.stab import stab_of_normal_form, stab_trace
+from hptcanon.stab import (nonidentity_witness, stab_of_normal_form,
+                           stab_trace)
 
 
 def test_parse_plain_and_whitespace():
@@ -476,7 +477,8 @@ def test_a_letter_outside_the_basis_is_a_named_value_error(
 @pytest.mark.parametrize("bad", [None, "x", ((), 0), 1.5],
                          ids=lambda bad: type(bad).__name__)
 def test_a_form_that_is_not_a_normal_form_is_a_named_type_error(table, bad):
-    for fn in (render, normal_form_matrix, stab_trace):
+    for fn in (render, normal_form_matrix, stab_trace, stab_of_normal_form,
+               nonidentity_witness):
         with pytest.raises(TypeError, match=rf"^{fn.__name__}\(\) form must "
                            rf"be a NormalForm, not {type(bad).__name__}$"):
             fn(bad, table)

@@ -13,8 +13,8 @@ from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 from hptcanon.ring import RingElem
 from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
                            classify, initial_stab, nonidentity_witness,
-                           stab_matrix, stab_of_normal_form, stab_trace,
-                           step_block, step_law_counterexample,
+                           parity_code, stab_matrix, stab_of_normal_form,
+                           stab_trace, step_block, step_law_counterexample,
                            verify_stabilizes)
 
 
@@ -124,6 +124,36 @@ def test_classify_examples():
         ParityClass.OTHER
 
 
+def test_parity_code_reads_the_parities_as_binary():
+    # Each of the 64 parity patterns, lifted by seeded even offsets of
+    # either sign: the code is the pattern read as binary, x_a highest,
+    # and the class is the pattern's row.
+    rng = random.Random(71)
+    for parity in product((0, 1), repeat=6):
+        coeffs = [p + 2 * rng.randint(-9, 9) for p in parity]
+        st = StabTriple(*zip(coeffs[::2], coeffs[1::2]), rng.randint(0, 9))
+        assert parity_code(st) == int("".join(map(str, parity)), 2)
+        assert classify(st) is stab._CLASS_BY_PARITY.get(parity,
+                                                         ParityClass.OTHER)
+
+
+_TRIPLE_CALLS = {
+    "classify": classify,
+    "parity_code": parity_code,
+    "step_block": lambda bad: step_block(bad, Block.HT),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in _TRIPLE_CALLS
+    for bad in (None, "x", 192, ((0, 0), (0, 0), (1, 0)), object())])
+def test_a_triple_that_is_not_a_stab_triple_is_a_named_type_error(entry,
+                                                                  bad):
+    with pytest.raises(TypeError, match=rf"^{entry}\(\) triple must be a "
+                       rf"StabTriple, not {type(bad).__name__}$"):
+        _TRIPLE_CALLS[entry](bad)
+
+
 def test_fold_over_normal_form(table):
     st = stab_of_normal_form(NormalForm((Block.HT, Block.HT), 0), table)
     assert st == StabTriple((0, 0), (0, -1), (0, 1), 2)
@@ -152,8 +182,9 @@ def test_fold_over_normal_form(table):
                     NormalForm((Block.HT, 7), 0),
                     NormalForm((Block.HT, Block.T), 0),
                     NormalForm((Block.T,) * 4, 0)):
-        with pytest.raises(ValueError, match="not a normal form"):
-            stab_trace(foreign, table)
+        for fn in (stab_trace, stab_of_normal_form):
+            with pytest.raises(ValueError, match="not a normal form"):
+                fn(foreign, table)
 
 
 def test_verify_stabilizes():

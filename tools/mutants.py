@@ -205,11 +205,19 @@ MUTANTS = (
            "(d0, a0, b0, c0, -d1, a1, b1, c1),"),
     Mutant("verify_uniqueness refuses two forms with one matrix",
            "src/hptcanon/census.py",
-           "            if key in seen:\n",
-           "            if False:\n"),
-    Mutant("verify_uniqueness compares the enumeration with the oracle",
+           "        if other is not None:\n",
+           "        if False:\n"),
+    Mutant("verify_uniqueness keys a block tuple by its coset's least key",
            "src/hptcanon/census.py",
-           "if set(seen) != okeys:",
+           "key = min(keys)",
+           "key = keys[0]"),
+    Mutant("verify_uniqueness finds each form's key in the oracle's set",
+           "src/hptcanon/census.py",
+           "if okeys is not None and not okeys.issuperset(keys):",
+           "if False:"),
+    Mutant("verify_uniqueness compares the oracle's size with the forms'",
+           "src/hptcanon/census.py",
+           "if okeys is not None and len(okeys) != total:",
            "if False:"),
     Mutant("verify_uniqueness counts a block tuple as order forms",
            "src/hptcanon/census.py",
@@ -232,6 +240,14 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "(0, 1, 0, 0, 0, 1): ParityClass.T1,",
            "(0, 1, 0, 0, 0, 1): ParityClass.T2,"),
+    Mutant("parity_code: x_a is the high bit, x_b the next",
+           "src/hptcanon/stab.py",
+           "return ((xa & 1) * 32 + (xb & 1) * 16",
+           "return ((xa & 1) * 16 + (xb & 1) * 32"),
+    Mutant("the triple guard refuses a triple that is not a StabTriple",
+           "src/hptcanon/stab.py",
+           "    if not isinstance(st, StabTriple):\n",
+           "    if False:\n"),
     Mutant("_numerators: i*y in e10",
            "src/hptcanon/stab.py",
            "xa, xb - yb, -ya, -xb - yb,",
@@ -251,7 +267,7 @@ MUTANTS = (
            "not stab.verify_stabilizes(trace[-1], table.elements[cliff])"),
     Mutant("stabilizer-chains needs a final parity class",
            "src/hptcanon/verify.py",
-           "or prev is stab.ParityClass.OTHER",
+           "or classes[codes[-1]] is stab.ParityClass.OTHER",
            "or False"),
     Mutant("counting runs to n = 12",
            "src/hptcanon/verify.py",
