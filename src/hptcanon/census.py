@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain, product
 
 from .group import _check_table
-from .normalize import Block, NormalForm, normal_form_matrix
+from .normalize import FIRST_BLOCKS, REST_BLOCKS, NormalForm, _blocks_matrix
 
 
 class VerificationFailure(Exception):
@@ -45,19 +45,17 @@ def block_tuples(n):
     length ascending, then product order over (T|HT|PHT)(HT|PHT)*.  A
     negative n raises ValueError here, not at the first item."""
     _check_n(n)
-    first = (Block.T, Block.HT, Block.PHT)
-    rest = (Block.HT, Block.PHT)
     return chain(((),), chain.from_iterable(
-        product(first, *((rest,) * (k - 1))) for k in range(1, n + 1)))
+        product(FIRST_BLOCKS, *((REST_BLOCKS,) * (k - 1)))
+        for k in range(1, n + 1)))
 
 
-def enumerate_normal_forms(n, table=None):
+def enumerate_normal_forms(n, table):
     """All normal forms with <= n blocks, lazily: block_tuples(n), each
     paired with every tail by id, made NormalForms by tuple.__new__
     (NormalForm._make without a Python frame per form)."""
-    if table is not None:
-        _check_table(table, "enumerate_normal_forms")
-    tails = range(192 if table is None else table.order)
+    _check_table(table, "enumerate_normal_forms")
+    tails = range(table.order)
     return map(partial(tuple.__new__, NormalForm), chain.from_iterable(
         product((blocks,), tails) for blocks in block_tuples(n)))
 
@@ -224,8 +222,8 @@ def verify_uniqueness(n, table, with_oracle=True):
     order = table.order
 
     def products(blocks):
-        return table.right_products(normal_form_matrix(
-            NormalForm(blocks, 0), table).scaled_key())
+        return table.right_products(
+            _blocks_matrix(blocks, table).scaled_key())
 
     def oracle_mismatch():
         keys = set(chain.from_iterable(map(products, block_tuples(n))))

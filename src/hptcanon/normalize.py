@@ -14,13 +14,19 @@ from typing import NamedTuple
 
 from . import ring
 from .group import _check_table, build_standard_table
-from .rules import RuleTable, build_rules
+from .rules import RuleTable, _check_rules, build_rules
 
 
 class Block(IntEnum):
     T = 0
     HT = 1
     PHT = 2
+
+
+# The normal-form language (T|HT|PHT)(HT|PHT)*: the choices for the
+# leftmost block, and for each block after it.
+FIRST_BLOCKS = (Block.T, Block.HT, Block.PHT)
+REST_BLOCKS = (Block.HT, Block.PHT)
 
 
 class ParseError(Exception):
@@ -58,9 +64,7 @@ def _rules(caller, table, rules):
     if rules is None:
         raise TypeError(f"{caller}() got a table but no 'rules' argument; "
                         "pass rules=build_rules(table) with it")
-    if not isinstance(rules, RuleTable):
-        raise TypeError(f"{caller}() argument 'rules' must be a RuleTable, "
-                        f"not {type(rules).__name__}")
+    _check_rules(rules, caller)
     if table is None:
         return rules
     raise ValueError(f"{caller}() got a table that is not rules.table; "
@@ -277,19 +281,21 @@ def render(nf, table=None):
             + "|" + (table.words[nf.cliff] or "I"))
 
 
+def _blocks_matrix(blocks, table):
+    # Exact matrix of a block tuple, unchecked: evaluate on the blocks'
+    # labels joined, so each block runs through its T, H and P branches.
+    return evaluate("".join(map(table.block_labels.__getitem__, blocks)),
+                    table.gates)
+
+
 def normal_form_matrix(nf, table=None):
-    """Exact matrix of a normal form: evaluate on the blocks' word (their
-    labels joined, so each block runs through evaluate's T, H and P
-    branches), times the Clifford tail's element matrix.  A form without
-    blocks is its tail's matrix."""
+    """Exact matrix of a normal form: its blocks' matrix times the Clifford
+    tail's element matrix.  A form without blocks is its tail's matrix."""
     if table is None:
         table = _default_rules().table
     _check_form(nf, table, "normal_form_matrix")
     tail = table.elements[nf.cliff]
-    if not nf.blocks:
-        return tail
-    word = "".join(map(table.block_labels.__getitem__, nf.blocks))
-    return evaluate(word, table.gates) * tail
+    return _blocks_matrix(nf.blocks, table) * tail if nf.blocks else tail
 
 
 def equivalent(c1, c2, table=None, rules=None):

@@ -168,8 +168,8 @@ def _gate_mul(x: tuple[int, ...], gate: UMat2) -> tuple[int, ...]:
     ring's own P rotates column 1 by i, the ring's own H replaces the
     columns by their sum and difference with k + 1 and one joint
     reduction, and any other matrix, equal to one of them or not, takes
-    _mat_mul.  evaluate keeps its own inline copy of these steps: it is
-    an independent oracle, and a call per gate would cost it a frame.
+    _mat_mul.  evaluate never calls this: it is an independent oracle
+    that steps row 0 and the determinant inline, not the full key.
     """
     if gate is not P and gate is not H:
         return _mat_mul(x, gate._key)

@@ -64,6 +64,13 @@ class RuleTable:
         return len(self.slots)
 
 
+def _check_rules(rules, caller):
+    # The one guard of every entry point that takes a RuleTable.
+    if not isinstance(rules, RuleTable):
+        raise TypeError(f"{caller}() argument 'rules' must be a RuleTable, "
+                        f"not {type(rules).__name__}")
+
+
 def build_rules(table):
     _check_table(table, "build_rules")
     # untwist[x] is the id of T_adj * elements[x] * T; x is missing when
@@ -93,6 +100,7 @@ def emit_rules(rules):
     Within a section rules are ordered by W0 element id, which is the
     breadth-first discovery order, so output is deterministic.
     """
+    _check_rules(rules, "emit_rules")
     table = rules.table
     out = []
     for slot in range(3):
@@ -110,6 +118,9 @@ def emit_rules(rules):
 
 def parse_fixture(text):
     """Parse fixture text into (lhs, rhs) word pairs; '#' starts a comment."""
+    if not isinstance(text, str):
+        raise TypeError("parse_fixture() text must be a str, "
+                        f"not {type(text).__name__}")
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,6 +151,7 @@ def check_fixture(rules, rows):
     """
     # normalize imports this module, so evaluate is imported here.
     from .normalize import evaluate
+    _check_rules(rules, "check_fixture")
     table = rules.table
     gates = table.gates
     by_len = sorted(range(3), key=lambda s: -len(table.block_labels[s]))

@@ -9,7 +9,6 @@ normal forms with T gates cannot be the identity.
 """
 
 from enum import Enum
-from functools import reduce
 from itertools import accumulate, product
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -63,6 +62,15 @@ _CLASS_BY_PARITY = {
 # The same classes by parity_code: the parity tuple read as binary.
 _CLASS_BY_CODE = tuple(_CLASS_BY_PARITY.get(parity, ParityClass.OTHER)
                        for parity in product((0, 1), repeat=6))
+# The transition law: a class of family A, B or C goes to the class
+# given here under the blocks T, HT and PHT.
+_FAMILY = {ParityClass.T1: "A", ParityClass.T2: "A", ParityClass.T4: "B",
+           ParityClass.T5: "B", ParityClass.T7: "C", ParityClass.T8: "C"}
+_LAW = {"A": (ParityClass.T3, ParityClass.T2, ParityClass.T1),
+        "B": (ParityClass.T9, ParityClass.T7, ParityClass.T8),
+        "C": (ParityClass.T6, ParityClass.T4, ParityClass.T5)}
+# By parity_code: the classes _LAW demands after each block, or None.
+_LAW_BY_CODE = tuple(_LAW.get(_FAMILY.get(cls)) for cls in _CLASS_BY_CODE)
 
 
 def _check_triple(st, caller):
@@ -170,11 +178,21 @@ def stab_trace(nf, table):
                            initial=initial_stab(nf.cliff, table)))
 
 
-def stab_of_normal_form(nf, table):
-    """The triple of the whole form: the last item of stab_trace."""
-    _check_chain(nf, table, "stab_of_normal_form")
-    return reduce(step_block, reversed(nf.blocks),
-                  initial_stab(nf.cliff, table))
+def law_walk(trace, blocks):
+    """Walk a form's stab_trace against the transition law: trace[i + 1]
+    must be in the class _LAW gives for the class of trace[i] under the
+    i-th block from the right, when that class is in a family.  Returns
+    (transitions checked, whether all held); the walk stops at the first
+    broken transition, which it counts."""
+    law = None
+    checks = 0
+    for b, code in zip((None, *reversed(blocks)), map(parity_code, trace)):
+        if law is not None:
+            checks += 1
+            if _CLASS_BY_CODE[code] is not law[b]:
+                return checks, False
+        law = _LAW_BY_CODE[code]
+    return checks, True
 
 
 def _numerators(st):
@@ -246,8 +264,8 @@ def nonidentity_witness(nf, table):
     """Certify that a normal form with >= 1 block is not the identity.
 
     One or two blocks: direct exact-matrix comparison.  Three or more:
-    the folded triple's parity class lands in T1..T9, which forces an
-    odd (hence nonzero) x or y coefficient, so the stabilizer axis of
+    the class of stab_trace's last triple lands in T1..T9, which forces
+    an odd (hence nonzero) x or y coefficient, so the stabilizer axis of
     the output state is not (0,0,+-1) and the state differs from |0>.
     A block tuple outside the normal-form language raises ValueError.
     """
@@ -256,4 +274,4 @@ def nonidentity_witness(nf, table):
         raise NoTGates("normal form has no T blocks")
     if len(nf.blocks) <= 2:
         return normal_form_matrix(nf, table) != ring.IDENTITY
-    return classify(stab_of_normal_form(nf, table)) is not ParityClass.OTHER
+    return classify(stab_trace(nf, table)[-1]) is not ParityClass.OTHER

@@ -12,14 +12,15 @@ acceptance gate asserts on these results and their exact details.
 
 import random
 import time
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
 from .group import (GroupTable, build_standard_table, quotient_profile,
                     subgroup_ct)
-from .normalize import (Block, NormalForm, evaluate, invert,
-                        normal_form_matrix, normalize, parse, render)
+from .normalize import (FIRST_BLOCKS, REST_BLOCKS, NormalForm,
+                        _blocks_matrix, evaluate, invert, normal_form_matrix,
+                        normalize, parse, render)
 
 
 class CheckResult(NamedTuple):
@@ -231,30 +232,6 @@ def check_inverse_tcount(ctx):
                    f"{total} normal forms <= 3 blocks, {bad} failures")
 
 
-_LAW = {
-    ("A", Block.HT): stab.ParityClass.T2,
-    ("A", Block.PHT): stab.ParityClass.T1,
-    ("A", Block.T): stab.ParityClass.T3,
-    ("B", Block.HT): stab.ParityClass.T7,
-    ("B", Block.PHT): stab.ParityClass.T8,
-    ("B", Block.T): stab.ParityClass.T9,
-    ("C", Block.HT): stab.ParityClass.T4,
-    ("C", Block.PHT): stab.ParityClass.T5,
-    ("C", Block.T): stab.ParityClass.T6,
-}
-_FAMILY = {stab.ParityClass.T1: "A", stab.ParityClass.T2: "A",
-           stab.ParityClass.T4: "B", stab.ParityClass.T5: "B",
-           stab.ParityClass.T7: "C", stab.ParityClass.T8: "C"}
-# By stab.parity_code: the class _LAW demands after each block, indexed
-# by block, or None for a code whose class is in no family.
-_LAW_BY_CODE = tuple(
-    None if (fam := _FAMILY.get(cls)) is None
-    else tuple(_LAW[fam, b] for b in Block)
-    for cls in stab._CLASS_BY_CODE)
-_FIRST_BLOCKS = (Block.T, Block.HT, Block.PHT)
-_REST_BLOCKS = (Block.HT, Block.PHT)
-
-
 def check_stab_chains(ctx, count=10000, seed=20260825):
     """Stabilizer folds of `count` seeded random chains of 2..30 blocks,
     against the paper's parity-class transition laws and exact states.
@@ -268,40 +245,31 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     independent of it: the last triple must stabilize
     normal_form_matrix(nf)|0>.
 
-    Per chain, each class transition out of a family must follow _LAW,
-    the final class must be T1..T9 (nonidentity_witness's certificate for
-    >= 3 blocks) and the matrix must not be the identity (the witness for
-    2 blocks).  A failed step law gives ok=False and names its first
-    counterexample's block and level in the detail.
+    Per chain, every class transition out of a family must follow the
+    law (stab.law_walk), the final class must be T1..T9
+    (nonidentity_witness's certificate for >= 3 blocks) and the matrix
+    must not be the identity (the witness for 2 blocks).  A failed step
+    law gives ok=False and names its first counterexample's block and
+    level in the detail.
     """
     t0 = time.perf_counter()
     table = ctx["table"]
     counterexample = stab.step_law_counterexample(table)
-    classes = stab._CLASS_BY_CODE
     rng = random.Random(seed)
     choice = rng.choice
     failures = 0
     law_checks = 0
     for _ in range(count):
         k = rng.randint(2, 30)
-        blocks = (choice(_FIRST_BLOCKS),
-                  *map(choice, repeat(_REST_BLOCKS, k - 1)))
+        blocks = (choice(FIRST_BLOCKS),
+                  *map(choice, repeat(REST_BLOCKS, k - 1)))
         cliff = rng.randrange(table.order)
-        nf = NormalForm(blocks, cliff)
-        trace = stab.stab_trace(nf, table)
-        codes = list(map(stab.parity_code, trace))
-        law = _LAW_BY_CODE[codes[0]]
-        ok = True
-        for b, code in zip(reversed(blocks), islice(codes, 1, None)):
-            if law is not None:
-                law_checks += 1
-                if classes[code] is not law[b]:
-                    ok = False
-                    break
-            law = _LAW_BY_CODE[code]
-        m = normal_form_matrix(nf, table)
+        trace = stab.stab_trace(NormalForm(blocks, cliff), table)
+        checks, ok = stab.law_walk(trace, blocks)
+        law_checks += checks
+        m = _blocks_matrix(blocks, table) * table.elements[cliff]
         if (not ok or trace[-1].level != k
-                or classes[codes[-1]] is stab.ParityClass.OTHER
+                or stab.classify(trace[-1]) is stab.ParityClass.OTHER
                 or m == ring.IDENTITY
                 or not stab.verify_stabilizes(trace[-1], m)):
             failures += 1

@@ -8,7 +8,6 @@ all eleven outcomes.  The other tests here feed the checks a wrong input
 and assert the failing verdict and detail: a check that cannot fail
 proves nothing."""
 
-import types
 import weakref
 
 import pytest
@@ -125,12 +124,26 @@ def test_stabilizer_chains_must_end_in_a_parity_class(table, rules,
     # Every triple read as parity code 0, class OTHER: no transition law
     # applies, so only the terminal-class condition can fail these chains.
     assert stab._CLASS_BY_CODE[0] is stab.ParityClass.OTHER
-    monkeypatch.setattr(verify, "stab", types.SimpleNamespace(
-        **{**vars(stab), "parity_code": lambda st: 0}))
+    monkeypatch.setattr(stab, "parity_code", lambda st: 0)
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (res.ok, res.detail) == (
         False, "20 chains, 0 transition-law checks, 20 failures, "
                "within 30s budget")
+
+
+def test_law_walk_counts_sum_to_the_chains_detail(table, rules, monkeypatch):
+    walks = []
+    law_walk = stab.law_walk
+
+    def recorded(trace, blocks):
+        walks.append(law_walk(trace, blocks))
+        return walks[-1]
+    monkeypatch.setattr(stab, "law_walk", recorded)
+    res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
+    assert (len(walks), all(ok for _, ok in walks)) == (20, True)
+    assert res.detail.startswith(
+        f"20 chains, {sum(checks for checks, _ in walks)} transition-law "
+        "checks, 0 failures")
 
 
 def test_stabilizer_chains_name_a_broken_step_law(table, rules,

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from hptcanon import ring
+from hptcanon.census import (brute_force_mn, enumerate_normal_forms,
+                             verify_uniqueness)
 from hptcanon.group import (ClosureExceedsLimit, GroupTable, quotient_profile,
                             subgroup_ct)
 from hptcanon.normalize import (Block, NormalForm, evaluate,
                                 normal_form_matrix, render)
 from hptcanon.rules import build_rules
-from hptcanon.stab import (initial_stab, stab_of_normal_form, stab_trace,
-                           step_law_counterexample)
+from hptcanon.stab import initial_stab, stab_trace, step_law_counterexample
 
 
 def test_order_and_identity_word(table):
@@ -146,13 +147,14 @@ _TABLE_CALLS = {
     "normal_form_matrix": lambda bad: normal_form_matrix(NormalForm((), 0),
                                                          bad),
     "stab_trace": lambda bad: stab_trace(NormalForm((), 0), bad),
-    "stab_of_normal_form": lambda bad: stab_of_normal_form(NormalForm((), 0),
-                                                           bad),
     "step_law_counterexample": step_law_counterexample,
     "initial_stab": lambda bad: initial_stab(0, bad),
     "quotient_profile": quotient_profile,
     "subgroup_ct": subgroup_ct,
     "build_rules": build_rules,
+    "enumerate_normal_forms": lambda bad: enumerate_normal_forms(1, bad),
+    "verify_uniqueness": lambda bad: verify_uniqueness(1, bad),
+    "brute_force_mn": lambda bad: brute_force_mn(1, bad),
 }
 
 

@@ -13,8 +13,7 @@ from hptcanon import normalize as normalize_mod
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
-from hptcanon.stab import (nonidentity_witness, stab_of_normal_form,
-                           stab_trace)
+from hptcanon.stab import nonidentity_witness, stab_trace
 
 
 def test_parse_plain_and_whitespace():
@@ -278,23 +277,12 @@ def test_rules_alone_and_no_arguments_skip_the_resolver(monkeypatch,
 
 
 def test_normalize_examples(table, rules):
-    nf = normalize("HPPHT", table, rules)
-    assert nf.blocks == (Block.T,)
-    assert nf.cliff == table.index[evaluate("HPHPPPH", table.gates)]
-
-    nf = normalize("PPHT", table, rules)
-    assert nf.blocks == (Block.HT,)
-    assert nf.cliff == table.index[evaluate("HPHPPPH", table.gates)]
-
-    nf = normalize("TT", table, rules)
-    assert nf.blocks == ()
-    assert nf.cliff == table.index[evaluate("P", table.gates)]
-
-    nf = normalize("HPH", table, rules)
-    assert nf.blocks == ()
-    assert nf.cliff == table.index[evaluate("HPH", table.gates)]
-
-    assert normalize("", table, rules) == NormalForm((), 0)
+    for word, blocks, tail in (("HPPHT", (Block.T,), "HPHPPPH"),
+                               ("PPHT", (Block.HT,), "HPHPPPH"),
+                               ("TT", (), "P"), ("HPH", (), "HPH"),
+                               ("", (), "")):
+        assert normalize(word, table, rules) == NormalForm(
+            blocks, table.index[evaluate(tail, table.gates)])
 
 
 def test_normal_form_shape(table, rules):
@@ -302,9 +290,7 @@ def test_normal_form_shape(table, rules):
     for _ in range(500):
         w = "".join(rng.choice("HPT") for _ in range(rng.randrange(0, 40)))
         nf = normalize(w, table, rules)
-        for i, b in enumerate(nf.blocks):
-            if i > 0:
-                assert b in (Block.HT, Block.PHT)
+        assert all(b in (Block.HT, Block.PHT) for b in nf.blocks[1:])
         assert 0 <= nf.cliff < table.order
 
 
@@ -339,7 +325,7 @@ def test_foreign_normal_form_is_a_named_value_error(table, nf):
     with pytest.raises(ValueError, match="not a normal form of this table"):
         render(nf, table)
     with pytest.raises(ValueError, match="not a normal form of this table"):
-        stab_of_normal_form(nf, table)
+        stab_trace(nf, table)
 
 
 def test_plain_int_blocks_are_accepted(table):
@@ -477,8 +463,7 @@ def test_a_letter_outside_the_basis_is_a_named_value_error(
 @pytest.mark.parametrize("bad", [None, "x", ((), 0), 1.5],
                          ids=lambda bad: type(bad).__name__)
 def test_a_form_that_is_not_a_normal_form_is_a_named_type_error(table, bad):
-    for fn in (render, normal_form_matrix, stab_trace, stab_of_normal_form,
-               nonidentity_witness):
+    for fn in (render, normal_form_matrix, stab_trace, nonidentity_witness):
         with pytest.raises(TypeError, match=rf"^{fn.__name__}\(\) form must "
                            rf"be a NormalForm, not {type(bad).__name__}$"):
             fn(bad, table)

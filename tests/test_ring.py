@@ -35,20 +35,16 @@ def test_sqrt2_multiplication_map():
 
 
 def test_canonicalize_examples():
-    e = RingElem(0, 2, 0, 0, 2)
-    assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 0, 0, 0)
-    e = RingElem(1, 0, 0, 0, 0)
-    assert (e.a, e.b, e.c, e.d, e.k) == (1, 0, 0, 0, 0)
     # 1/2 and omega/sqrt2 stay: sqrt2 divides a numerator only when both
-    # a = c and b = d (mod 2).
-    e = RingElem(1, 0, 0, 0, 2)
-    assert (e.a, e.b, e.c, e.d, e.k) == (1, 0, 0, 0, 2)
-    e = RingElem(0, 1, 0, 0, 1)
-    assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 0, 0, 1)
-    # (1,1,1,1)/sqrt2 reduces once; scale the result back by sqrt2 to
-    # confirm the numerator is recovered.
-    e = RingElem(1, 1, 1, 1, 1)
-    assert (e.a, e.b, e.c, e.d, e.k) == (0, 1, 1, 0, 0)
+    # a = c and b = d (mod 2).  (1,1,1,1)/sqrt2 reduces once, and scaling
+    # the result back by sqrt2 recovers the numerator.
+    for given, want in (((0, 2, 0, 0, 2), (0, 1, 0, 0, 0)),
+                        ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0)),
+                        ((1, 0, 0, 0, 2), (1, 0, 0, 0, 2)),
+                        ((0, 1, 0, 0, 1), (0, 1, 0, 0, 1)),
+                        ((1, 1, 1, 1, 1), (0, 1, 1, 0, 0))):
+        e = RingElem(*given)
+        assert (e.a, e.b, e.c, e.d, e.k) == want
     assert ring._scaled(*e.coeffs, 1) == (1, 1, 1, 1)
 
 

@@ -12,8 +12,8 @@ from hptcanon.group import GroupTable
 from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 from hptcanon.ring import RingElem
 from hptcanon.stab import (NoTGates, NotSignedPauli, ParityClass, StabTriple,
-                           classify, initial_stab, nonidentity_witness,
-                           parity_code, stab_matrix, stab_of_normal_form,
+                           classify, initial_stab, law_walk,
+                           nonidentity_witness, parity_code, stab_matrix,
                            stab_trace, step_block, step_law_counterexample,
                            verify_stabilizes)
 
@@ -137,6 +137,20 @@ def test_parity_code_reads_the_parities_as_binary():
                                                          ParityClass.OTHER)
 
 
+def test_law_walk_stops_at_the_first_broken_transition(table, monkeypatch):
+    # From the z axis the classes run OTHER, OTHER, T2, T1, ..., T2, T3:
+    # the transitions into levels 3..9 leave a family, so seven are
+    # checked.  Level j read as code 0 (OTHER) breaks the j-th.
+    nf = NormalForm((Block.T, *(Block.HT, Block.PHT) * 4), 0)
+    trace = stab_trace(nf, table)
+    assert law_walk(trace, nf.blocks) == (7, True)
+    real = stab.parity_code
+    for j in range(3, 10):
+        monkeypatch.setattr(stab, "parity_code",
+                            lambda st, j=j: 0 if st is trace[j] else real(st))
+        assert law_walk(trace, nf.blocks) == (j - 2, False)
+
+
 _TRIPLE_CALLS = {
     "classify": classify,
     "parity_code": parity_code,
@@ -155,16 +169,12 @@ def test_a_triple_that_is_not_a_stab_triple_is_a_named_type_error(entry,
 
 
 def test_fold_over_normal_form(table):
-    st = stab_of_normal_form(NormalForm((Block.HT, Block.HT), 0), table)
-    assert st == StabTriple((0, 0), (0, -1), (0, 1), 2)
-    assert classify(st) == ParityClass.T2
-
-    st = stab_of_normal_form(NormalForm((), 0), table)
-    assert st == StabTriple((0, 0), (0, 0), (1, 0), 0)
-
     h_id = table.index[evaluate("H", table.gates)]
-    st = stab_of_normal_form(NormalForm((Block.T,), h_id), table)
-    assert st == StabTriple((1, 0), (1, 0), (0, 0), 1)
+    for nf, last in (
+            (NormalForm((Block.HT, Block.HT), 0), ((0, 0), (0, -1), (0, 1), 2)),
+            (NormalForm((), 0), ((0, 0), (0, 0), (1, 0), 0)),
+            (NormalForm((Block.T,), h_id), ((1, 0), (1, 0), (0, 0), 1))):
+        assert stab_trace(nf, table)[-1] == StabTriple(*last)
 
     # The trace holds levels 0..k: the tail's axis, then one step per
     # block from the rightmost block to the leftmost.
@@ -176,15 +186,13 @@ def test_fold_over_normal_form(table):
         assert trace[0] == initial_stab(nf.cliff, table)
         for st, b, nxt in zip(trace, reversed(nf.blocks), trace[1:]):
             assert nxt == step_block(st, b)
-        assert trace[-1] == stab_of_normal_form(nf, table)
     # A bare T block after the leftmost is outside the language.
     for foreign in (NormalForm((Block.T,), table.order),
                     NormalForm((Block.HT, 7), 0),
                     NormalForm((Block.HT, Block.T), 0),
                     NormalForm((Block.T,) * 4, 0)):
-        for fn in (stab_trace, stab_of_normal_form):
-            with pytest.raises(ValueError, match="not a normal form"):
-                fn(foreign, table)
+        with pytest.raises(ValueError, match="not a normal form"):
+            stab_trace(foreign, table)
 
 
 def test_verify_stabilizes():

@@ -131,6 +131,10 @@ MUTANTS = (
            "src/hptcanon/rules.py",
            "if table.elements[rules.w1_ids[w0]] != w1_mat:",
            "if False:"),
+    Mutant("the rules guard refuses a value that is not a RuleTable",
+           "src/hptcanon/rules.py",
+           "    if not isinstance(rules, RuleTable):\n",
+           "    if False:\n"),
     Mutant("emit_rules writes no I before the T",
            "src/hptcanon/rules.py",
            'prefix = "" if label == "I" else label',
@@ -172,8 +176,12 @@ MUTANTS = (
            ""),
     Mutant("normal_form_matrix keeps the Clifford tail",
            "src/hptcanon/normalize.py",
-           "return evaluate(word, table.gates) * tail",
-           "return evaluate(word, table.gates)"),
+           "return _blocks_matrix(nf.blocks, table) * tail if nf.blocks",
+           "return _blocks_matrix(nf.blocks, table) if nf.blocks"),
+    Mutant("a normal form's first block may be a bare T",
+           "src/hptcanon/normalize.py",
+           "FIRST_BLOCKS = (Block.T, Block.HT, Block.PHT)",
+           "FIRST_BLOCKS = (Block.HT, Block.PHT)"),
     Mutant("invert writes T**-1 as T*P**3",
            "src/hptcanon/rules.py",
            'inv_words["T"] = "T" + inv_words[names[1]]',
@@ -256,18 +264,26 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "    level = st.level\n",
            "    level = 0\n"),
-    # verify: the headline checks.
     Mutant("_LAW: family A under HT goes to T2",
-           "src/hptcanon/verify.py",
-           '("A", Block.HT): stab.ParityClass.T2,',
-           '("A", Block.HT): stab.ParityClass.T1,'),
+           "src/hptcanon/stab.py",
+           '"A": (ParityClass.T3, ParityClass.T2, ParityClass.T1),',
+           '"A": (ParityClass.T3, ParityClass.T1, ParityClass.T1),'),
+    Mutant("law_walk stops at the first broken transition",
+           "src/hptcanon/stab.py",
+           "                return checks, False\n"
+           "        law = _LAW_BY_CODE[code]\n"
+           "    return checks, True\n",
+           "                held = False\n"
+           "        law = _LAW_BY_CODE[code]\n"
+           "    return checks, \"held\" not in locals()\n"),
+    # verify: the headline checks.
     Mutant("stabilizer-chains ends on the form's matrix",
            "src/hptcanon/verify.py",
            "not stab.verify_stabilizes(trace[-1], m)",
            "not stab.verify_stabilizes(trace[-1], table.elements[cliff])"),
     Mutant("stabilizer-chains needs a final parity class",
            "src/hptcanon/verify.py",
-           "or classes[codes[-1]] is stab.ParityClass.OTHER",
+           "or stab.classify(trace[-1]) is stab.ParityClass.OTHER",
            "or False"),
     Mutant("counting runs to n = 12",
            "src/hptcanon/verify.py",
