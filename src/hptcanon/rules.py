@@ -4,8 +4,9 @@ For every group element W0 there is exactly one syndrome S in {I, H, PH}
 and one element W1 with f(W0)*T = f(S)*T*f(W1); S is the syndrome in
 W0's slot of the table's `coset_slots`, and W1 = T_adj * S_adj * W0 * T.
 S_adj * W0 lies in C_T, so W1 is read off the inverse of the group
-table's T-conjugation, with no matrix product.  The normalizer consumes
-these as pure table lookups.
+table's T-conjugation, with no matrix product.  A RuleTable is built
+from its table alone; build_rules(table) is the same thing.  The
+normalizer consumes these as pure table lookups.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ class RuleDerivationFailure(Exception):
 class RuleTable:
     """One rule per group element, indexed by the W0 element id.
 
-    `table` is the GroupTable the rules were derived from, so a RuleTable
-    is the whole context the normalizer needs.  `merge[x][w1]` is the
-    pending element after a T whose rule has the identity syndrome meets
-    a previous block x: X*T*T*W1 = X*P*W1, with X the block's syndrome
-    and P = T*T the second generator, whose letter is `tt`.
+    Built from the GroupTable `table` alone, as by build_rules(table), so
+    a RuleTable is the whole context the normalizer needs.  `merge[x][w1]`
+    is the pending element after a T whose rule has the identity syndrome
+    meets a previous block x: X*T*T*W1 = X*P*W1, with X the block's
+    syndrome and P = T*T the second generator, whose letter is `tt`.
 
     The normalizer reads a circuit as byte codes, one per gate: `codes`
     is a str.translate table that maps T to chr(0) and generator i to
@@ -39,14 +40,26 @@ class RuleTable:
     T to T followed by P's inverse word (T**-1 = T**7 = T*P**3).
     """
 
-    def __init__(self, table, w1_ids):
+    def __init__(self, table):
+        _check_table(table, "RuleTable")
         self.table = table
-        # build_rules refuses a table with an element in no unique coset,
-        # so every slot here is 0, 1 or 2.
+        # untwist[x] is the id of T_adj * elements[x] * T; x is missing when
+        # that matrix is not an element.
+        untwist = {c: g for g, c in enumerate(table.t_conj) if c is not None}
+        mul, inv, syndrome_ids = table.mul, table.inv, table.syndrome_ids
+        w1_ids = []
+        for w0, slot in enumerate(table.coset_slots):
+            if slot is None:
+                raise RuleDerivationFailure(f"element {table.words[w0]!r} "
+                                            "is in no unique syndrome coset")
+            w1 = untwist.get(mul[inv[syndrome_ids[slot]]][w0])
+            if w1 is None:
+                raise RuleDerivationFailure(
+                    f"conjugate of {table.words[w0]!r} leaves the group")
+            w1_ids.append(w1)
         self.slots = table.coset_slots
-        self.w1_ids = w1_ids
+        self.w1_ids = tuple(w1_ids)
         names = table.gen_names
-        mul = table.mul
         p_id = table.gen_ids[names[1]]
         self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)
         self.tt = names[1]
@@ -55,7 +68,7 @@ class RuleTable:
             {**{chr(code): "\xff" for code in range(len(letters))},
              **{ch: chr(code) for code, ch in enumerate(letters)}})
         self.steps = (None, *map(table.letter_step.__getitem__, names))
-        inv_words = {name: table.words[table.inv[gid]]
+        inv_words = {name: table.words[inv[gid]]
                      for name, gid in table.gen_ids.items()}
         inv_words["T"] = "T" + inv_words[names[1]]
         self.inverse = str.maketrans(inv_words)
@@ -72,22 +85,9 @@ def _check_rules(rules, caller):
 
 
 def build_rules(table):
+    """The rules of `table`: the same as RuleTable(table)."""
     _check_table(table, "build_rules")
-    # untwist[x] is the id of T_adj * elements[x] * T; x is missing when
-    # that matrix is not an element.
-    untwist = {c: g for g, c in enumerate(table.t_conj) if c is not None}
-    mul, inv, syndrome_ids = table.mul, table.inv, table.syndrome_ids
-    w1_ids = []
-    for w0, slot in enumerate(table.coset_slots):
-        if slot is None:
-            raise RuleDerivationFailure(
-                f"element {table.words[w0]!r} is in no unique syndrome coset")
-        w1 = untwist.get(mul[inv[syndrome_ids[slot]]][w0])
-        if w1 is None:
-            raise RuleDerivationFailure(
-                f"conjugate of {table.words[w0]!r} leaves the group")
-        w1_ids.append(w1)
-    return RuleTable(table, tuple(w1_ids))
+    return RuleTable(table)
 
 
 def _word_or_i(word):

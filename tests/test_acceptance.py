@@ -62,9 +62,10 @@ _WRONG_RULE_DETAILS = {
 
 def test_a_wrong_rule_fails_each_rule_check(table, rules):
     assert table.words[1:3] == ["H", "P"]
-    w1 = list(rules.w1_ids)
-    w1[1] = rules.w1_ids[2]
-    ctx = {"table": table, "rules": rules_mod.RuleTable(table, tuple(w1))}
+    wrong = rules_mod.RuleTable(table)
+    w1 = rules.w1_ids
+    wrong.w1_ids = (w1[0], w1[2], *w1[2:])
+    ctx = {"table": table, "rules": wrong}
     for name, detail in _WRONG_RULE_DETAILS.items():
         res = getattr(verify, name)(ctx)
         assert (res.ok, res.detail) == (False, detail), name

@@ -11,7 +11,7 @@ from hptcanon.group import (ClosureExceedsLimit, GroupTable, quotient_profile,
                             subgroup_ct)
 from hptcanon.normalize import (Block, NormalForm, evaluate,
                                 normal_form_matrix, render)
-from hptcanon.rules import build_rules
+from hptcanon.rules import RuleTable, build_rules
 from hptcanon.stab import initial_stab, stab_trace, step_law_counterexample
 
 
@@ -152,6 +152,7 @@ _TABLE_CALLS = {
     "quotient_profile": quotient_profile,
     "subgroup_ct": subgroup_ct,
     "build_rules": build_rules,
+    "RuleTable": RuleTable,
     "enumerate_normal_forms": lambda bad: enumerate_normal_forms(1, bad),
     "verify_uniqueness": lambda bad: verify_uniqueness(1, bad),
     "brute_force_mn": lambda bad: brute_force_mn(1, bad),

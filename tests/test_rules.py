@@ -7,8 +7,9 @@ import pytest
 from hptcanon import ring
 from hptcanon.group import GroupTable
 from hptcanon.normalize import evaluate
-from hptcanon.rules import (RuleDerivationFailure, build_rules, check_fixture,
-                            emit_rules, load_bundled_fixture, parse_fixture)
+from hptcanon.rules import (RuleDerivationFailure, RuleTable, build_rules,
+                            check_fixture, emit_rules, load_bundled_fixture,
+                            parse_fixture)
 
 
 def _rule(rules, w0):
@@ -93,18 +94,22 @@ def test_rules_derive_for_alternate_two_generator_basis(r_rules):
         assert m * t == (syn * t) * table.elements[r_rules.w1_ids[w0]]
 
 
-def test_single_generator_rules_fail_and_name_the_element():
+@pytest.mark.parametrize("build", [build_rules, RuleTable],
+                         ids=["build_rules", "RuleTable"])
+def test_single_generator_rules_fail_and_name_the_element(build):
     # <P> is abelian, so every element lies in C_T, and hence in the
     # coset of more than one syndrome.
     with pytest.raises(RuleDerivationFailure,
                        match="^element '' is in no unique syndrome coset$"):
-        build_rules(GroupTable([("P", ring.P)]))
+        build(GroupTable([("P", ring.P)]))
 
 
-def test_missing_conjugate_fails_and_names_the_element(table):
+@pytest.mark.parametrize("build", [build_rules, RuleTable],
+                         ids=["build_rules", "RuleTable"])
+def test_missing_conjugate_fails_and_names_the_element(table, build):
     # Without the identity's T-conjugate no W1 is found for W0 = I.
     broken = copy.copy(table)
     broken.t_conj = (None,) + table.t_conj[1:]
     with pytest.raises(RuleDerivationFailure,
                        match="^conjugate of '' leaves the group$"):
-        build_rules(broken)
+        build(broken)

@@ -104,8 +104,12 @@ MUTANTS = (
     # rules: derivation and the fixture check.
     Mutant("one w1_ids entry is the derived W1",
            "src/hptcanon/rules.py",
-           "return RuleTable(table, tuple(w1_ids))",
-           "return RuleTable(table, (w1_ids[0], w1_ids[2], *w1_ids[2:]))"),
+           "self.w1_ids = tuple(w1_ids)",
+           "self.w1_ids = (w1_ids[0], w1_ids[2], *w1_ids[2:])"),
+    Mutant("RuleTable refuses a table that is not a GroupTable",
+           "src/hptcanon/rules.py",
+           '        _check_table(table, "RuleTable")\n',
+           ""),
     Mutant("one rules.merge entry is X*P",
            "src/hptcanon/rules.py",
            "self.merge = tuple(mul[mul[sid][p_id]] for sid in table.syndrome_ids)",
