@@ -9,14 +9,13 @@ normal forms with T gates cannot be the identity.
 """
 
 from enum import Enum
-from functools import reduce
 from itertools import accumulate, product
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from . import ring
 from .group import _check_table
-from .normalize import Block, _blocks_matrix, _check_form
+from .normalize import Block, _check_form, normal_form_matrix
 
 
 class NotSignedPauli(Exception):
@@ -274,7 +273,5 @@ def nonidentity_witness(nf, table):
     if not nf.blocks:
         raise NoTGates("normal form has no T blocks")
     if len(nf.blocks) <= 2:
-        tail = table.elements[nf.cliff]
-        return _blocks_matrix(nf.blocks, table) * tail != ring.IDENTITY
-    st = reduce(step_block, reversed(nf.blocks), initial_stab(nf.cliff, table))
-    return classify(st) is not ParityClass.OTHER
+        return normal_form_matrix(nf, table) != ring.IDENTITY
+    return classify(stab_trace(nf, table)[-1]) is not ParityClass.OTHER
