@@ -53,19 +53,12 @@ def _default_rules():
 
 
 def _rules(caller, table, rules):
-    # Slow path of the entry points' guard: no arguments mean the default
-    # rules, rules whose .table (getattr: duck-typed rules too) is the
-    # given table are kept, other RuleTables given alone are kept, and
-    # the rest is refused by name.
+    # Slow path of the entry points' guard: the default rules for no
+    # arguments, a RuleTable alone or with its own table, else a refusal.
     if table is None and rules is None:
         return _default_rules()
-    if table is not None and getattr(rules, "table", None) is table:
-        return rules
-    if rules is None:
-        raise TypeError(f"{caller}() got a table but no 'rules' argument; "
-                        "pass rules=build_rules(table) with it")
     _check_rules(rules, caller)
-    if table is None:
+    if table is None or table is rules.table:
         return rules
     raise ValueError(f"{caller}() got a table that is not rules.table; "
                      "pass rules alone, or the table they were built from")

@@ -158,6 +158,9 @@ def check_fixture(rules, rows):
     problems = []
     seen_w0 = set()
     for lhs, rhs in rows:
+        if not (isinstance(lhs, str) and isinstance(rhs, str)):
+            raise TypeError("check_fixture() rows must be pairs of str, "
+                            f"not {(lhs, rhs)!r}")
         where = f"{lhs} = {rhs}"
         if not lhs.endswith("T"):
             problems.append(f"{where}: left side does not end in T")

@@ -209,7 +209,7 @@ def _numerators(st):
 
 def stab_matrix(st):
     """M = x*X + y*Y + z*Z as an exact ring matrix, from _numerators."""
-    n, level = _numerators(st), st.level
+    n, level = _numerators(st), st[3]
     return ring.UMat2(*(ring.RingElem(*n[i:i + 4], level)
                         for i in range(0, 16, 4)))
 
@@ -255,7 +255,7 @@ def verify_stabilizes(st, m):
     u, v = m._key[1:5], m._key[9:13]
     n = ring._mat_mul((0, *_numerators(st)),
                       (0, *u, 0, 0, 0, 0, *v, 0, 0, 0, 0))
-    level = st.level
+    level = st[3]
     return n[1:5] + n[9:13] == (ring._scaled(*u, level)
                                 + ring._scaled(*v, level))
 

@@ -34,6 +34,14 @@ def _result(name, started, ok, detail):
     return CheckResult(name, ok, detail, time.perf_counter() - started)
 
 
+def _context(ctx, check):
+    # The one guard of the checks that read ctx: (its table, its rules).
+    try:
+        return ctx["table"], ctx["rules"]
+    except (KeyError, TypeError):
+        raise TypeError(f"{check}() ctx needs 'table' and 'rules'") from None
+
+
 def check_group_order(ctx):
     t0 = time.perf_counter()
     table = build_standard_table()
@@ -48,7 +56,7 @@ def check_group_order(ctx):
 
 def check_coset_structure(ctx):
     t0 = time.perf_counter()
-    table = ctx["table"]
+    table = _context(ctx, "check_coset_structure")[0]
     counts = [sum(1 for s in table.coset_slots if s == k) for k in range(3)]
     qorder, qabelian, qorders = quotient_profile(table)
     ok = (len(table.ct_ids) == 64
@@ -64,7 +72,7 @@ def check_coset_structure(ctx):
 
 def check_rules(ctx):
     t0 = time.perf_counter()
-    table, rules = ctx["table"], ctx["rules"]
+    table, rules = _context(ctx, "check_rules")
     t = table.t_mat
     bad = 0
     for w0 in range(table.order):
@@ -84,8 +92,9 @@ def check_rules(ctx):
 
 def check_appendix(ctx):
     t0 = time.perf_counter()
+    rules = _context(ctx, "check_appendix")[1]
     rows = rules_mod.parse_fixture(rules_mod.load_bundled_fixture())
-    problems = rules_mod.check_fixture(ctx["rules"], rows)
+    problems = rules_mod.check_fixture(rules, rows)
     ok = not problems and len(rows) == 192
     detail = f"{len(rows)} rows, {len(problems)} mismatches"
     if problems:
@@ -105,7 +114,7 @@ def check_counting(ctx, nmax=12):
     form, whose index is the number of forms before it.
     """
     t0 = time.perf_counter()
-    order = ctx["table"].order
+    order = _context(ctx, "check_counting")[0].order
     layer = [0] * (nmax + 1)
     prev = None
     broken = None
@@ -132,7 +141,8 @@ def check_counting(ctx, nmax=12):
 
 def check_oracle(ctx, oracle_max=4):
     t0 = time.perf_counter()
-    count = census.verify_uniqueness(oracle_max, ctx["table"])
+    count = census.verify_uniqueness(oracle_max,
+                                     _context(ctx, "check_oracle")[0])
     dt = time.perf_counter() - t0
     ok = dt < 10.0
     return _result("oracle-match", t0, ok,
@@ -144,7 +154,8 @@ def check_uniqueness(ctx, tmax=5):
     # verify_uniqueness raises VerificationFailure on any failure, which
     # run_all reports as a failed check.
     t0 = time.perf_counter()
-    count = census.verify_uniqueness(tmax, ctx["table"], with_oracle=False)
+    count = census.verify_uniqueness(
+        tmax, _context(ctx, "check_uniqueness")[0], with_oracle=False)
     return _result("uniqueness", t0, True,
                    f"n={tmax}: {count} distinct matrices, no collisions")
 
@@ -157,7 +168,7 @@ def _exhaustive_words(maxlen):
 
 def check_soundness(ctx):
     t0 = time.perf_counter()
-    table, rules = ctx["table"], ctx["rules"]
+    table, rules = _context(ctx, "check_soundness")
     rng = random.Random(20260825)
     words = list(_exhaustive_words(7))
     words += ["".join(rng.choice("HPT") for _ in range(rng.randrange(0, 61)))
@@ -192,7 +203,7 @@ def check_tcount_minimality(ctx):
     # no T-free word within 7 letters, so the corpus minimum alone is not a
     # valid upper bound.)
     t0 = time.perf_counter()
-    table, rules = ctx["table"], ctx["rules"]
+    table, rules = _context(ctx, "check_tcount_minimality")
     buckets = {}
     for w in _exhaustive_words(7):
         key = evaluate(w).scaled_key()
@@ -216,7 +227,7 @@ def check_tcount_minimality(ctx):
 
 def check_inverse_tcount(ctx):
     t0 = time.perf_counter()
-    table, rules = ctx["table"], ctx["rules"]
+    table, rules = _context(ctx, "check_inverse_tcount")
     bad = 0
     total = 0
     for nf in census.enumerate_normal_forms(3, table):
@@ -253,7 +264,7 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     level in the detail.
     """
     t0 = time.perf_counter()
-    table = ctx["table"]
+    table = _context(ctx, "check_stab_chains")[0]
     counterexample = stab.step_law_counterexample(table)
     rng = random.Random(seed)
     choice = rng.choice
@@ -286,7 +297,7 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
 
 def check_hp_cubed(ctx):
     t0 = time.perf_counter()
-    table = ctx["table"]
+    table = _context(ctx, "check_hp_cubed")[0]
     hp3 = evaluate("HPHPHP")
     omega_i = ring.UMat2(ring.OMEGA, ring.ZERO, ring.ZERO, ring.OMEGA)
     # omega**2 == i pins the phase at pi/4, not pi/8.

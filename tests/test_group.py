@@ -5,14 +5,9 @@ import random
 import pytest
 
 from hptcanon import ring
-from hptcanon.census import (brute_force_mn, enumerate_normal_forms,
-                             verify_uniqueness)
 from hptcanon.group import (ClosureExceedsLimit, GroupTable, quotient_profile,
                             subgroup_ct)
-from hptcanon.normalize import (Block, NormalForm, evaluate,
-                                normal_form_matrix, render)
-from hptcanon.rules import RuleTable, build_rules
-from hptcanon.stab import initial_stab, stab_trace, step_law_counterexample
+from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 
 
 def test_order_and_identity_word(table):
@@ -137,36 +132,6 @@ def test_element_id_rejects_non_members(table):
     assert table.element_id(ring.P) == table.gen_ids["P"]
     with pytest.raises(ValueError, match="not an element of this group"):
         table.element_id(ring.T)
-
-
-# Each entry point that takes a GroupTable, called with `bad` in its
-# table slot.  render and normal_form_matrix read None as the default
-# table, so they are probed with "x" and 192 only.
-_TABLE_CALLS = {
-    "render": lambda bad: render(NormalForm((), 0), bad),
-    "normal_form_matrix": lambda bad: normal_form_matrix(NormalForm((), 0),
-                                                         bad),
-    "stab_trace": lambda bad: stab_trace(NormalForm((), 0), bad),
-    "step_law_counterexample": step_law_counterexample,
-    "initial_stab": lambda bad: initial_stab(0, bad),
-    "quotient_profile": quotient_profile,
-    "subgroup_ct": subgroup_ct,
-    "build_rules": build_rules,
-    "RuleTable": RuleTable,
-    "enumerate_normal_forms": lambda bad: enumerate_normal_forms(1, bad),
-    "verify_uniqueness": lambda bad: verify_uniqueness(1, bad),
-    "brute_force_mn": lambda bad: brute_force_mn(1, bad),
-}
-
-
-@pytest.mark.parametrize("entry, bad", [
-    *((entry, bad) for entry in _TABLE_CALLS for bad in ("x", 192)),
-    *((entry, None) for entry in _TABLE_CALLS
-      if entry not in ("render", "normal_form_matrix"))])
-def test_a_table_that_is_not_a_group_table_is_a_named_type_error(entry, bad):
-    with pytest.raises(TypeError, match=rf"^{entry}\(\) table must be a "
-                       rf"GroupTable, not {type(bad).__name__}$"):
-        _TABLE_CALLS[entry](bad)
 
 
 def test_quotient_profile():

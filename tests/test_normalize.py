@@ -1,10 +1,10 @@
 """Parsing, evaluation, normalization, rendering, equivalence, inversion."""
 
+import copy
 import hashlib
 import random
 import re
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +13,7 @@ from hptcanon import normalize as normalize_mod
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)
-from hptcanon.stab import nonidentity_witness, stab_trace
+from hptcanon.stab import stab_trace
 
 
 def test_parse_plain_and_whitespace():
@@ -67,11 +67,6 @@ def test_parse_matches_per_character_reference():
             text = context.replace("?", ch)
             assert _outcome(parse, text) == _outcome(_parse_reference,
                                                      text), repr(text)
-
-
-def test_parse_rejects_non_strings():
-    with pytest.raises(TypeError):
-        parse(None)
 
 
 def test_evaluate():
@@ -210,17 +205,8 @@ def test_evaluate_dispatches_on_gate_objects_not_letters():
         assert evaluate(w, gates).scaled_key() == _oracle_key(w, gates), w
 
 
-def test_missing_rules_is_a_named_type_error(table, rules, r_rules):
+def test_rules_carry_their_table_and_refuse_another(table, rules, r_rules):
     r_table = r_rules.table
-    for name, call in [
-        ("normalize", lambda: normalize("HT", table)),
-        ("normalize", lambda: normalize("RT", r_table)),
-        ("invert", lambda: invert("HT", table)),
-        ("equivalent", lambda: equivalent("HT", "TH", table)),
-        ("t_count", lambda: t_count("HT", table)),
-    ]:
-        with pytest.raises(TypeError, match=rf"^{name}\(\).*'rules' argument"):
-            call()
     # A table with rules built for another table is refused by name.
     for name, call in [
         ("normalize", lambda: normalize("RPTRTPRT", r_table, rules)),
@@ -229,16 +215,6 @@ def test_missing_rules_is_a_named_type_error(table, rules, r_rules):
         ("t_count", lambda: t_count("HT", table, r_rules)),
     ]:
         with pytest.raises(ValueError, match=rf"^{name}\(\).*rules\.table"):
-            call()
-    # A leftover (table, rules) pair is not a RuleTable.
-    pair = (table, rules)
-    for name, call in [
-        ("normalize", lambda: normalize("HT", rules=pair)),
-        ("invert", lambda: invert("HT", table, pair)),
-        ("equivalent", lambda: equivalent("HT", "TH", rules=pair)),
-        ("t_count", lambda: t_count("HT", table, pair)),
-    ]:
-        with pytest.raises(TypeError, match=rf"^{name}\(\).*'rules'"):
             call()
     # Rules alone carry their table: every entry point reads the words in
     # the <R,P> basis, never in the default tables.
@@ -425,22 +401,13 @@ def test_invert_examples(table, rules):
 
 
 # Each circuit entry point, with the circuit in the slot under test.
-_CIRCUIT_CALLS = [
-    ("normalize", lambda c, rules: normalize(c, rules=rules)),
-    ("t_count", lambda c, rules: t_count(c, rules=rules)),
-    ("equivalent", lambda c, rules: equivalent(c, "HT", rules=rules)),
-    ("equivalent", lambda c, rules: equivalent("HT", c, rules=rules)),
-    ("invert", lambda c, rules: invert(c, rules=rules)),
-]
-
-
-@pytest.mark.parametrize("bad", [None, b"HT", ["H", "T"], 7, object()],
-                         ids=lambda bad: type(bad).__name__)
-def test_a_circuit_that_is_not_a_str_is_a_named_type_error(rules, bad):
-    for name, call in _CIRCUIT_CALLS:
-        with pytest.raises(TypeError, match=rf"^{name}\(\) circuit must be "
-                           rf"a str, not {type(bad).__name__}$"):
-            call(bad, rules)
+_CIRCUIT_CALLS = (
+    lambda c, rules: normalize(c, rules=rules),
+    lambda c, rules: t_count(c, rules=rules),
+    lambda c, rules: equivalent(c, "HT", rules=rules),
+    lambda c, rules: equivalent("HT", c, rules=rules),
+    lambda c, rules: invert(c, rules=rules),
+)
 
 
 @pytest.mark.parametrize("circuit, basis, letter", [
@@ -454,19 +421,10 @@ def test_a_letter_outside_the_basis_is_a_named_value_error(
     # letter past the codes and letters that latin-1 cannot encode are all
     # refused, never read as a gate.
     basis_rules = rules if basis == "HP" else r_rules
-    for _, call in _CIRCUIT_CALLS:
+    for call in _CIRCUIT_CALLS:
         with pytest.raises(ValueError, match=re.escape(
                 f"gate {letter!r} not in this basis")):
             call(circuit, basis_rules)
-
-
-@pytest.mark.parametrize("bad", [None, "x", ((), 0), 1.5],
-                         ids=lambda bad: type(bad).__name__)
-def test_a_form_that_is_not_a_normal_form_is_a_named_type_error(table, bad):
-    for fn in (render, normal_form_matrix, stab_trace, nonidentity_witness):
-        with pytest.raises(TypeError, match=rf"^{fn.__name__}\(\) form must "
-                           rf"be a NormalForm, not {type(bad).__name__}$"):
-            fn(bad, table)
 
 
 class _CountingRow:
@@ -497,17 +455,12 @@ def test_lookup_bound_is_two_per_gate(table, rules):
               for _ in range(200)]
     for w in cases:
         hits = []
-        fake_rules = SimpleNamespace(
-            table=table,
-            tt=rules.tt,
-            codes=rules.codes,
-            steps=(None, *(_CountingRow(row, hits)
-                           for row in rules.steps[1:])),
-            slots=_CountingRow(rules.slots, hits),
-            w1_ids=rules.w1_ids,
-            merge=_CountingGrid(rules.merge, hits),
-        )
-        nf = normalize(w, table, fake_rules)
+        counting = copy.copy(rules)
+        counting.steps = (None, *(_CountingRow(row, hits)
+                                  for row in rules.steps[1:]))
+        counting.slots = _CountingRow(rules.slots, hits)
+        counting.merge = _CountingGrid(rules.merge, hits)
+        nf = normalize(w, table, counting)
         assert nf == normalize(w, table, rules)
         assert len(hits) <= 2 * len(w)
 

@@ -4,8 +4,6 @@ import cmath
 import math
 import random
 
-import pytest
-
 from hptcanon import census, ring
 from hptcanon.ring import RingElem, StateVec, UMat2
 
@@ -130,23 +128,6 @@ def test_state_equality_across_mixed_exponents():
         up = StateVec(RingElem(*ring._scaled(*x.coeffs, 2), x.k + 2),
                       RingElem(*ring._scaled(*y.coeffs, 1), y.k + 1))
         assert up == s and hash(up) == hash(s)
-
-
-def test_ring_types_refuse_other_arguments():
-    with pytest.raises(TypeError, match="UMat2.*RingElem, not int"):
-        UMat2(1, 2, 3, 4)
-    with pytest.raises(TypeError, match="StateVec.*RingElem, not int"):
-        ring.H.apply(StateVec(1, 0))
-    with pytest.raises(TypeError, match="must be a StateVec, not tuple"):
-        ring.H.apply((1, 0))
-    with pytest.raises(TypeError, match="must be a StateVec, not UMat2"):
-        ring.H.apply(ring.H)
-    # Coefficients and exponent must be ints: a string would otherwise
-    # reach a UMat2 key.
-    for args, name in (((1.5, 0, 0, 0), "float"), (("a", 0, 0, 0), "str"),
-                       ((1, 0, 0, 0, 1.0), "float")):
-        with pytest.raises(TypeError, match=f"RingElem.*be int, not {name}"):
-            RingElem(*args)
 
 
 def test_words_up_to_seven_are_unitary_and_normalized():

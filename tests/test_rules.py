@@ -51,18 +51,6 @@ def test_emit_format(rules, table):
         assert evaluate(lhs.replace("I", "")) == evaluate(rhs.replace("I", ""))
 
 
-@pytest.mark.parametrize("entry, what, bad", [
-    *((entry, "argument 'rules' must be a RuleTable", bad)
-      for entry in ("emit_rules", "check_fixture") for bad in ("x", None, 192)),
-    *(("parse_fixture", "text must be a str", bad) for bad in (None, 192))])
-def test_a_wrong_argument_is_a_named_type_error(entry, what, bad):
-    call = {"emit_rules": emit_rules, "parse_fixture": parse_fixture,
-            "check_fixture": lambda bad: check_fixture(bad, [])}[entry]
-    with pytest.raises(TypeError, match=rf"^{entry}\(\) {what}, "
-                       rf"not {type(bad).__name__}$"):
-        call(bad)
-
-
 def test_fixture_check_catches_corruption(rules):
     text = load_bundled_fixture()
     cases = {

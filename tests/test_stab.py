@@ -151,23 +151,6 @@ def test_law_walk_stops_at_the_first_broken_transition(table, monkeypatch):
         assert law_walk(trace, nf.blocks) == (j - 2, False)
 
 
-_TRIPLE_CALLS = {
-    "classify": classify,
-    "parity_code": parity_code,
-    "step_block": lambda bad: step_block(bad, Block.HT),
-}
-
-
-@pytest.mark.parametrize("entry, bad", [
-    (entry, bad) for entry in _TRIPLE_CALLS
-    for bad in (None, "x", 192, ((0, 0), (0, 0), (1, 0)), object())])
-def test_a_triple_that_is_not_a_stab_triple_is_a_named_type_error(entry,
-                                                                  bad):
-    with pytest.raises(TypeError, match=rf"^{entry}\(\) triple must be a "
-                       rf"StabTriple, not {type(bad).__name__}$"):
-        _TRIPLE_CALLS[entry](bad)
-
-
 def test_fold_over_normal_form(table):
     h_id = table.index[evaluate("H", table.gates)]
     for nf, last in (
@@ -202,10 +185,6 @@ def test_verify_stabilizes():
     assert verify_stabilizes(z_axis, ring.IDENTITY)
     assert verify_stabilizes(x_axis, ring.H)
     assert not verify_stabilizes(z_axis, ring.PAULI_X)
-    for bad in ((1, 0), ring.KET0, None):
-        with pytest.raises(TypeError, match="m must be a UMat2, not "
-                                            f"{type(bad).__name__}"):
-            verify_stabilizes(z_axis, bad)
     with pytest.raises(ValueError, match="level must be >= 0, got -1"):
         verify_stabilizes(z_axis._replace(level=-1), ring.IDENTITY)
 

@@ -139,6 +139,10 @@ MUTANTS = (
            "src/hptcanon/rules.py",
            "    if not isinstance(rules, RuleTable):\n",
            "    if False:\n"),
+    Mutant("check_fixture refuses a row that is not a pair of str",
+           "src/hptcanon/rules.py",
+           "        if not (isinstance(lhs, str) and isinstance(rhs, str)):\n",
+           "        if False:\n"),
     Mutant("emit_rules writes no I before the T",
            "src/hptcanon/rules.py",
            'prefix = "" if label == "I" else label',
@@ -164,7 +168,8 @@ MUTANTS = (
            ""),
     Mutant("_rules refuses a table that is not rules.table",
            "src/hptcanon/normalize.py",
-           "    if table is None:\n        return rules\n",
+           "    if table is None or table is rules.table:\n"
+           "        return rules\n",
            "    if True:\n        return rules\n"),
     Mutant("a merge reads the rule's W1",
            "src/hptcanon/normalize.py",
@@ -260,13 +265,17 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "    if not isinstance(st, StabTriple):\n",
            "    if False:\n"),
+    Mutant("stab_matrix reads a triple's level by position",
+           "src/hptcanon/stab.py",
+           "n, level = _numerators(st), st[3]",
+           "n, level = _numerators(st), st.level"),
     Mutant("_numerators: i*y in e10",
            "src/hptcanon/stab.py",
            "xa, xb - yb, -ya, -xb - yb,",
            "xa, xb - yb, ya, -xb - yb,"),
     Mutant("verify_stabilizes compares at the triple's level",
            "src/hptcanon/stab.py",
-           "    level = st.level\n",
+           "    level = st[3]\n",
            "    level = 0\n"),
     Mutant("_LAW: family A under HT goes to T2",
            "src/hptcanon/stab.py",
@@ -281,6 +290,10 @@ MUTANTS = (
            "        law = _LAW_BY_CODE[code]\n"
            "    return checks, \"held\" not in locals()\n"),
     # verify: the headline checks.
+    Mutant("the ctx guard names the check for a ctx without its tables",
+           "src/hptcanon/verify.py",
+           "    except (KeyError, TypeError):\n",
+           "    except ():\n"),
     Mutant("stabilizer-chains ends on the form's matrix",
            "src/hptcanon/verify.py",
            "not stab.verify_stabilizes(trace[-1], m)",
