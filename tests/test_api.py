@@ -31,19 +31,20 @@ _SIZES = {"n", "nmax", "tmax", "oracle_max", "count", "limit"}
 _RESOLVERS = ("normalize", "t_count", "equivalent", "invert")
 
 
-def _public(namespace, module):
-    # Public names of the callables `module` defines that take arguments.
-    return [name for name, obj in vars(namespace).items()
+def _slots(namespace, module):
+    # (name, parameter) of each public callable `module` defines, no self.
+    return [(name, param) for name, obj in vars(namespace).items()
             if not name.startswith("_") and callable(obj)
             and getattr(obj, "__module__", None) == module.__name__
             and not (isinstance(obj, type)
                      and issubclass(obj, (Enum, Exception)))
             and obj is not verify.run_all
-            and inspect.signature(obj).parameters]
+            for param in list(inspect.signature(obj).parameters)[
+                namespace in _INSTANCES:]]
 
 
-_TARGETS = [(owner, name) for owner in (*_MODULES, *_INSTANCES)
-            for name in _public(owner, inspect.getmodule(owner))]
+_TARGETS = [(owner, *slot) for owner in (*_MODULES, *_INSTANCES)
+            for slot in _slots(owner, inspect.getmodule(owner))]
 
 
 @pytest.fixture(scope="module")
@@ -111,28 +112,28 @@ def _named(name, param, bad):
     return None
 
 
-@pytest.mark.parametrize("owner, name", _TARGETS, ids=[
-    f"{owner.__name__.rpartition('.')[2]}.{name}" for owner, name in _TARGETS])
-def test_a_bad_argument_raises_a_named_exception(owner, name, valid, table):
-    fn = getattr(_INSTANCES.get(owner, owner) or table, name)
+@pytest.mark.parametrize("owner, name, param", _TARGETS, ids=[
+    f"{owner.__name__.rpartition('.')[2]}.{name}({param})"
+    for owner, name, param in _TARGETS])
+def test_a_bad_argument_raises_a_named_exception(owner, name, param, valid):
+    fn = getattr(_INSTANCES.get(owner, owner) or valid["table"], name)
     params = inspect.signature(fn).parameters
-    for param in params:
-        for bad in _BAD:
-            if bad is _BIG and param in _SIZES:
-                continue
-            args = {p: valid.get(f"{name}.{p}", valid[p]) for p in params}
-            args[param] = bad
-            where = f"{name}({param}={bad!r})"
-            try:
-                fn(**args)
-                got = None
-            except Exception as exc:
-                got = exc
-            assert got is None or isinstance(got, (TypeError, ValueError)) \
-                or type(got).__module__.startswith("hptcanon."), \
-                f"{where} leaks {got!r}"
-            want = _named(name, param, bad)
-            if want is not None:
-                kind, message = want
-                assert type(got) is kind and message in (None, str(got)), \
-                    f"{where} raised {got!r}, not {kind.__name__}({message!r})"
+    for bad in _BAD:
+        if bad is _BIG and param in _SIZES:
+            continue
+        args = {p: valid.get(f"{name}.{p}", valid[p]) for p in params}
+        args[param] = bad
+        where = f"{name}({param}={bad!r})"
+        try:
+            fn(**args)
+            got = None
+        except Exception as exc:
+            got = exc
+        assert got is None or isinstance(got, (TypeError, ValueError)) \
+            or type(got).__module__.startswith("hptcanon."), \
+            f"{where} leaks {got!r}"
+        want = _named(name, param, bad)
+        if want is not None:
+            kind, message = want
+            assert type(got) is kind and message in (None, str(got)), \
+                f"{where} raised {got!r}, not {kind.__name__}({message!r})"
