@@ -165,12 +165,10 @@ def check_fixture(rules, rows):
         if not lhs.endswith("T"):
             problems.append(f"{where}: left side does not end in T")
             continue
-        slot = None
-        for s in by_len:
-            if rhs.startswith(table.block_labels[s]):
-                slot = s
+        for slot in by_len:
+            if rhs.startswith(table.block_labels[slot]):
                 break
-        if slot is None:
+        else:
             problems.append(f"{where}: right side has no T block prefix")
             continue
         w1_word = rhs[len(table.block_labels[slot]):]

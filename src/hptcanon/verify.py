@@ -16,8 +16,8 @@ from itertools import product, repeat
 from typing import NamedTuple
 
 from . import census, ring, rules as rules_mod, stab
-from .group import (GroupTable, build_standard_table, quotient_profile,
-                    subgroup_ct)
+from .group import (GroupTable, _check_table, build_standard_table,
+                    quotient_profile, subgroup_ct)
 from .normalize import (FIRST_BLOCKS, REST_BLOCKS, NormalForm,
                         _blocks_matrix, evaluate, invert, normal_form_matrix,
                         normalize, parse, render)
@@ -37,9 +37,12 @@ def _result(name, started, ok, detail):
 def _context(ctx, check):
     # The one guard of the checks that read ctx: (its table, its rules).
     try:
-        return ctx["table"], ctx["rules"]
+        table, rules = ctx["table"], ctx["rules"]
     except (KeyError, TypeError):
         raise TypeError(f"{check}() ctx needs 'table' and 'rules'") from None
+    _check_table(table, check)
+    rules_mod._check_rules(rules, check)
+    return table, rules
 
 
 def check_group_order(ctx):
@@ -180,14 +183,11 @@ def check_soundness(ctx):
         nf = normalize(w, table, rules)
         m = evaluate(w)
         text = parse(render(nf, table))
-        if evaluate(text) != m:
-            failures += 1
-            continue
-        if normalize(text, table, rules) != nf:
-            failures += 1
-            continue
         key = m.scaled_key()
-        if by_key.setdefault(key, nf) != nf or by_nf.setdefault(nf, key) != key:
+        if (evaluate(text) != m
+                or normalize(text, table, rules) != nf
+                or by_key.setdefault(key, nf) != nf
+                or by_nf.setdefault(nf, key) != key):
             failures += 1
     dt = time.perf_counter() - t0
     ok = failures == 0 and dt < 30.0
@@ -233,11 +233,9 @@ def check_inverse_tcount(ctx):
     for nf in census.enumerate_normal_forms(3, table):
         total += 1
         inv = invert(parse(render(nf, table)), table, rules)
-        if len(inv.blocks) != len(nf.blocks):
-            bad += 1
-            continue
-        if normal_form_matrix(inv, table) * normal_form_matrix(nf, table) \
-                != ring.IDENTITY:
+        if (len(inv.blocks) != len(nf.blocks)
+                or normal_form_matrix(inv, table)
+                * normal_form_matrix(nf, table) != ring.IDENTITY):
             bad += 1
     return _result("inverse-tcount", t0, bad == 0,
                    f"{total} normal forms <= 3 blocks, {bad} failures")

@@ -23,12 +23,18 @@ _INSTANCES = {group.GroupTable: None, ring.UMat2: ring.H,
 
 _BIG = 10 ** 6
 _PLAIN_TRIPLE = ((1, 0), (0, 0), (0, 0), 0)
+# A ctx with both keys but a table, then only rules, of the wrong type.
+_LOOSE_CTX = ({"table": None, "rules": None},
+              {"table": group.GroupTable([("P", ring.P)]), "rules": None})
 _BAD = (None, 1.5, "x", -1, _BIG, (), [], {}, object(),
         NormalForm((), 500), NormalForm((Block.HT, 7), 0), b"HT",
-        ((0, 0), (0, 0), (1, 0)), _PLAIN_TRIPLE, ring.H)
+        ((0, 0), (0, 0), (1, 0)), _PLAIN_TRIPLE, ring.H, ring.KET0,
+        *_LOOSE_CTX)
 # Slots that size a call's work: 10**6 there is valid, only slow.
 _SIZES = {"n", "nmax", "tmax", "oracle_max", "count", "limit"}
 _RESOLVERS = ("normalize", "t_count", "equivalent", "invert")
+# Checks that take ctx and never read it: one bad value (None) is enough.
+_UNREAD = ("check_group_order", "check_remark_r")
 
 
 def _slots(namespace, module):
@@ -103,11 +109,14 @@ def _named(name, param, bad):
         return ValueError, f"denominator exponent must be >= 0, got {bad}"
     if name in ("UMat2", "StateVec"):
         return TypeError, f"{name}() entries must be RingElem, not {kind}"
-    if name == "apply":
+    if name == "apply" and bad is not ring.KET0:
         return TypeError, f"apply() argument must be a StateVec, not {kind}"
     if name == "verify_stabilizes" and param == "m" and bad is not ring.H:
         return TypeError, f"verify_stabilizes() m must be a UMat2, not {kind}"
-    if param == "ctx" and name not in ("check_group_order", "check_remark_r"):
+    if param == "ctx" and name not in _UNREAD:
+        if isinstance(bad, dict) and bad:
+            return _named(name, "table" if bad["table"] is None else "rules",
+                          None)
         return TypeError, f"{name}() ctx needs 'table' and 'rules'"
     return None
 
@@ -119,7 +128,8 @@ def test_a_bad_argument_raises_a_named_exception(owner, name, param, valid):
     fn = getattr(_INSTANCES.get(owner, owner) or valid["table"], name)
     params = inspect.signature(fn).parameters
     for bad in _BAD:
-        if bad is _BIG and param in _SIZES:
+        if (bad is _BIG and param in _SIZES
+                or name in _UNREAD and bad is not None):
             continue
         args = {p: valid.get(f"{name}.{p}", valid[p]) for p in params}
         args[param] = bad

@@ -52,13 +52,17 @@ def test_canonical_words_are_shortest_and_lex_least(table):
 @pytest.mark.parametrize("gens", [(("H", ring.H), ("P", ring.P)),
                                   (("R", ring.R), ("P", ring.P))],
                          ids=["HP", "RP"])
-def test_mul_table_complete(gens):
+def test_mul_and_t_conj_match_direct_products(gens):
     t = GroupTable(gens)
     assert t.order == 192
     for i, a in enumerate(t.elements):
         row = t.mul[i]
         for j, b in enumerate(t.elements):
             assert row[j] == t.index[a * b]
+    t_mat, t_adj = t.t_mat, t.t_mat.adjoint()
+    for g, m in enumerate(t.elements):
+        assert t.t_conj[g] == t.index.get((t_mat * m) * t_adj)
+    assert t.ct_ids == subgroup_ct(t)
 
 
 def test_inverse_table(table):
@@ -72,17 +76,6 @@ def test_gen_step_agrees_with_mul(table):
         gid = table.gen_ids[name]
         for g in range(table.order):
             assert table.letter_step[name][g] == table.mul[g][gid]
-
-
-@pytest.mark.parametrize("gens", [(("H", ring.H), ("P", ring.P)),
-                                  (("R", ring.R), ("P", ring.P))],
-                         ids=["HP", "RP"])
-def test_t_conj_matches_direct_conjugation(gens):
-    t = GroupTable(gens)
-    t_mat, t_adj = t.t_mat, t.t_mat.adjoint()
-    for g, m in enumerate(t.elements):
-        assert t.t_conj[g] == t.index.get((t_mat * m) * t_adj)
-    assert t.ct_ids == subgroup_ct(t)
 
 
 def test_conjugation_subgroup_generating_set(table):

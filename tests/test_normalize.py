@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from hptcanon import census, normalize as normalize_mod, ring
+from hptcanon import census, ring
+from hptcanon import normalize as normalize_mod
 from hptcanon.normalize import (Block, NormalForm, ParseError, equivalent,
                                 evaluate, invert, normal_form_matrix,
                                 normalize, parse, render, t_count)

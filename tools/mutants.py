@@ -273,6 +273,10 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "xa, xb - yb, -ya, -xb - yb,",
            "xa, xb - yb, ya, -xb - yb,"),
+    Mutant("verify_stabilizes refuses a StateVec for its matrix",
+           "src/hptcanon/stab.py",
+           "    if not isinstance(m, ring.UMat2):\n",
+           "    if not hasattr(m, \"_key\"):\n"),
     Mutant("verify_stabilizes compares at the triple's level",
            "src/hptcanon/stab.py",
            "    level = st[3]\n",
@@ -294,6 +298,14 @@ MUTANTS = (
            "src/hptcanon/verify.py",
            "    except (KeyError, TypeError):\n",
            "    except ():\n"),
+    Mutant("the ctx guard checks the type of its table",
+           "src/hptcanon/verify.py",
+           "    _check_table(table, check)\n",
+           ""),
+    Mutant("the ctx guard checks the type of its rules",
+           "src/hptcanon/verify.py",
+           "    rules_mod._check_rules(rules, check)\n",
+           ""),
     Mutant("stabilizer-chains ends on the form's matrix",
            "src/hptcanon/verify.py",
            "not stab.verify_stabilizes(trace[-1], m)",
