@@ -29,6 +29,8 @@ from types import MappingProxyType
 from . import ring
 from .ring import UMat2, _gate_mul
 
+CLOSURE_LIMIT = 10000
+
 
 class ClosureExceedsLimit(Exception):
     def __init__(self, limit):
@@ -46,7 +48,7 @@ class GroupTable:
     None.
     """
 
-    def __init__(self, generators, limit=10000):
+    def __init__(self, generators):
         """Close `generators` (sequence of (single-letter name, matrix)
         pairs) under multiplication, breadth-first on flat keys: each
         (element, generator) product is one ring._gate_mul step, a column
@@ -56,9 +58,9 @@ class GroupTable:
 
         A name that is not one letter raises ValueError, and a matrix that
         is not a UMat2 raises TypeError.  Raises ClosureExceedsLimit if
-        more than `limit` distinct elements appear, so a typo'd generator
-        set cannot loop forever.  T is the non-Clifford gate used for the
-        conjugation subgroup and cosets.
+        more than CLOSURE_LIMIT distinct elements appear, so the generators
+        of an infinite group, such as {H, T}, cannot loop forever.  T is
+        the non-Clifford gate used for the conjugation subgroup and cosets.
         """
         gens = [(name, mat) for name, mat in generators]
         if not gens:
@@ -87,8 +89,8 @@ class GroupTable:
                 prod = _gate_mul(base, mat)
                 j = ids.get(prod)
                 if j is None:
-                    if len(keys) >= limit:
-                        raise ClosureExceedsLimit(limit)
+                    if len(keys) >= CLOSURE_LIMIT:
+                        raise ClosureExceedsLimit(CLOSURE_LIMIT)
                     j = ids[prod] = len(keys)
                     keys.append(prod)
                     words.append(words[i] + name)

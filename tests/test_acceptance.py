@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from hptcanon import ring, rules as rules_mod, stab, verify
+from hptcanon import census, ring, rules as rules_mod, stab, verify
 from hptcanon.group import GroupTable
 from hptcanon.normalize import Block
 
@@ -71,19 +71,32 @@ def test_a_wrong_rule_fails_each_rule_check(table, rules):
         assert (res.ok, res.detail) == (False, detail), name
 
 
-@pytest.mark.parametrize("check, name, stub, detail", [
-    (verify.check_group_order, "build_standard_table",
+def _one_form_short(n, table, with_oracle=True):
+    # A census count one below the closed form, as a lost form would give.
+    return census.count_closed_form(n) - 1
+
+
+@pytest.mark.parametrize("check, target, stub, detail", [
+    (verify.check_group_order, "hptcanon.verify.build_standard_table",
      lambda: GroupTable([("P", ring.P)]),
      "order=4, fresh rebuild within 1s budget"),
-    (verify.check_coset_structure, "subgroup_ct", lambda table: frozenset(),
+    (verify.check_coset_structure, "hptcanon.verify.subgroup_ct",
+     lambda table: frozenset(),
      "|C_T|=64 cosets=[64, 64, 64] quotient=(8, abelian=False, "
      "{1: 1, 4: 2, 2: 5})"),
-    (verify.check_hp_cubed, "evaluate", lambda word: ring.IDENTITY,
+    (verify.check_oracle, "hptcanon.census.verify_uniqueness",
+     _one_form_short, "n=4: enumeration 8831 == oracle 8831, "
+                      "within 10s budget"),
+    (verify.check_uniqueness, "hptcanon.census.verify_uniqueness",
+     _one_form_short, "n=5: 18047 distinct matrices, no collisions"),
+    (verify.check_hp_cubed, "hptcanon.verify.evaluate",
+     lambda word: ring.IDENTITY,
      "(HP)^3 equals the omega scalar matrix exactly"),
-], ids=["group-order", "coset-structure", "hp-cubed-scalar"])
+], ids=["group-order", "coset-structure", "oracle-match", "uniqueness",
+        "hp-cubed-scalar"])
 def test_a_wrong_input_fails_its_check(table, rules, monkeypatch, check,
-                                       name, stub, detail):
-    monkeypatch.setattr(verify, name, stub)
+                                       target, stub, detail):
+    monkeypatch.setattr(target, stub)
     res = check({"table": table, "rules": rules})
     assert (res.ok, res.detail) == (False, detail)
 

@@ -23,15 +23,19 @@ _INSTANCES = {group.GroupTable: None, ring.UMat2: ring.H,
 
 _BIG = 10 ** 6
 _PLAIN_TRIPLE = ((1, 0), (0, 0), (0, 0), 0)
+_P_TABLE = group.GroupTable([("P", ring.P)])
 # A ctx with both keys but a table, then only rules, of the wrong type.
 _LOOSE_CTX = ({"table": None, "rules": None},
-              {"table": group.GroupTable([("P", ring.P)]), "rules": None})
+              {"table": _P_TABLE, "rules": None})
+# A ctx whose rules were built for another table.
+_MISMATCHED_CTX = {"table": _P_TABLE,
+                   "rules": rules.build_rules(group.build_standard_table())}
 _BAD = (None, 1.5, "x", -1, _BIG, (), [], {}, object(),
         NormalForm((), 500), NormalForm((Block.HT, 7), 0), b"HT",
         ((0, 0), (0, 0), (1, 0)), _PLAIN_TRIPLE, ring.H, ring.KET0,
-        *_LOOSE_CTX)
+        *_LOOSE_CTX, _MISMATCHED_CTX)
 # Slots that size a call's work: 10**6 there is valid, only slow.
-_SIZES = {"n", "nmax", "tmax", "oracle_max", "count", "limit"}
+_SIZES = {"n", "nmax", "tmax", "oracle_max", "count"}
 _RESOLVERS = ("normalize", "t_count", "equivalent", "invert")
 # Checks that take ctx and never read it: one bad value (None) is enough.
 _UNREAD = ("check_group_order", "check_remark_r")
@@ -60,7 +64,7 @@ def valid(table, rules):
         "a": 1, "b": 0, "c": 0, "d": 0, "k": 0,
         "e00": ring.ONE, "e01": ring.ZERO, "e10": ring.ZERO, "e11": ring.ONE,
         "c0": ring.ONE, "StateVec.c1": ring.ZERO, "state": ring.KET0,
-        "generators": [("P", ring.P)], "limit": 10, "table": table,
+        "generators": [("P", ring.P)], "table": table,
         "mat": ring.P, "key": ring.H.scaled_key(),
         "rules": rules, "text": "HT", "rows": [],
         "position": 0, "character": "x", "blocks": (), "cliff": 0,
@@ -69,7 +73,7 @@ def valid(table, rules):
         "x": (0, 0), "y": (0, 0), "z": (1, 0), "level": 0, "w0": 0,
         "st": StabTriple((0, 0), (0, 0), (1, 0), 0), "block": Block.HT,
         "trace": [], "m": ring.IDENTITY,
-        "n": 1, "exact": False, "order": 192, "with_oracle": False,
+        "n": 1, "exact": False, "with_oracle": False,
         "ctx": {"table": table, "rules": rules}, "nmax": 1,
         "oracle_max": 1, "tmax": 1, "count": 1, "seed": 0,
         "name": "x", "ok": True, "detail": "", "seconds": 0.0,
@@ -102,6 +106,10 @@ def _named(name, param, bad):
         return TypeError, f"n must be an int, not {kind}"
     if param == "n" and bad < 0:
         return ValueError, f"n must be >= 0, got {bad}"
+    if param == "exact" and not isinstance(bad, bool):
+        return TypeError, f"{name}() exact must be a bool, not {kind}"
+    if param == "count" and isinstance(bad, int) and bad < 0:
+        return ValueError, f"{name}() count must be >= 0, got {bad}"
     if name == "RingElem" and not isinstance(bad, int):
         return (TypeError, "RingElem() coefficients and exponent must be "
                 f"int, not {kind}")
@@ -114,6 +122,9 @@ def _named(name, param, bad):
     if name == "verify_stabilizes" and param == "m" and bad is not ring.H:
         return TypeError, f"verify_stabilizes() m must be a UMat2, not {kind}"
     if param == "ctx" and name not in _UNREAD:
+        if bad is _MISMATCHED_CTX:
+            return (ValueError,
+                    f"{name}() ctx['table'] is not ctx['rules'].table")
         if isinstance(bad, dict) and bad:
             return _named(name, "table" if bad["table"] is None else "rules",
                           None)

@@ -16,7 +16,7 @@ def test_order_and_identity_word(table):
 
 
 def test_single_generator_identity_group():
-    t = GroupTable([("I", ring.IDENTITY)], limit=10)
+    t = GroupTable([("I", ring.IDENTITY)])
     assert t.order == 1
     assert t.words == [""]
 
@@ -27,8 +27,10 @@ def test_group_table_refuses_non_matrix_generators():
 
 
 def test_closure_limit_enforced():
-    with pytest.raises(ClosureExceedsLimit):
-        GroupTable([("H", ring.H), ("P", ring.P)], limit=100)
+    # <H, T> is infinite: its closure stops at the limit.
+    with pytest.raises(ClosureExceedsLimit,
+                       match="^group closure exceeded 10000 elements$"):
+        GroupTable([("H", ring.H), ("T", ring.T)])
 
 
 def test_canonical_words_are_shortest_and_lex_least(table):

@@ -198,8 +198,12 @@ MUTANTS = (
     # census: counting, enumeration and the oracle.
     Mutant("the closed form holds at n = 13",
            "src/hptcanon/census.py",
-           "return order * (3 * 2 ** n - 2)",
-           "return order * (3 * 2 ** n - 2) + (n == 13)"),
+           "return 192 * (3 * 2 ** n - 2)",
+           "return 192 * (3 * 2 ** n - 2) + (n == 13)"),
+    Mutant("count_closed_form refuses an exact that is not a bool",
+           "src/hptcanon/census.py",
+           "    if not isinstance(exact, bool):\n",
+           "    if False:\n"),
     Mutant("enumeration reaches n blocks",
            "src/hptcanon/census.py",
            "for k in range(1, n + 1)))",
@@ -238,8 +242,8 @@ MUTANTS = (
            "if False:"),
     Mutant("verify_uniqueness counts a block tuple as order forms",
            "src/hptcanon/census.py",
-           "layer_counts[len(blocks)] += order",
-           "layer_counts[len(blocks)] += order - 1"),
+           "total = table.order * len(seen)",
+           "total = (table.order - 1) * len(seen)"),
     Mutant("the oracle's frontier is the last layer's orbits",
            "src/hptcanon/census.py",
            "frontier = _orbit_reps(new, pairs)",
@@ -306,6 +310,10 @@ MUTANTS = (
            "src/hptcanon/verify.py",
            "    rules_mod._check_rules(rules, check)\n",
            ""),
+    Mutant("the ctx guard refuses rules built for another table",
+           "src/hptcanon/verify.py",
+           "    if table is not rules.table:\n",
+           "    if False:\n"),
     Mutant("stabilizer-chains ends on the form's matrix",
            "src/hptcanon/verify.py",
            "not stab.verify_stabilizes(trace[-1], m)",
@@ -314,6 +322,18 @@ MUTANTS = (
            "src/hptcanon/verify.py",
            "or stab.classify(trace[-1]) is stab.ParityClass.OTHER",
            "or False"),
+    Mutant("oracle-match holds its count to the closed form",
+           "src/hptcanon/verify.py",
+           "ok = count == census.count_closed_form(oracle_max) and dt < 10.0",
+           "ok = dt < 10.0"),
+    Mutant("uniqueness holds its count to the closed form",
+           "src/hptcanon/verify.py",
+           "    ok = count == census.count_closed_form(tmax)\n",
+           "    ok = True\n"),
+    Mutant("stabilizer-chains refuses a negative count",
+           "src/hptcanon/verify.py",
+           "    if count < 0:\n",
+           "    if False:\n"),
     Mutant("counting runs to n = 12",
            "src/hptcanon/verify.py",
            "def check_counting(ctx, nmax=12):",
