@@ -7,11 +7,10 @@ and |M_=n| = 3*192*2**(n-1), count block tuples times tails: each of the
 layer to them.  Uniqueness is checked two independent ways: by
 evaluating the normal forms exactly, and by a brute-force closure oracle
 on flat matrix keys that never consults the normalizer, rules or ring
-products.  The oracle's work is cut by D, the diagonal elements
-diag(omega**a, omega**b): they commute with T, and a left factor in D
-rotates each row, so the oracle takes one product per coset D*r and
-keeps one matrix per orbit D*m of each layer.  The other entry points
-take the group table they walk (<R,P> too).
+products.  The oracle keeps one key per orbit of the diagonal Cliffords
+D, the diag(omega**a, omega**b) that commute with T: it takes one product
+per coset D*r and reduces each to its orbit's least key.  The other
+entry points take the group table they walk (<R,P> too).
 """
 
 from functools import partial
@@ -139,46 +138,37 @@ def _orbit(key, pairs):
     return [top[a] + bottom[b] for a, b in pairs]
 
 
-def _orbit_reps(keys, pairs):
-    """One key per left orbit {d * key : d in D}, D the diagonal group
-    elements given by pairs, in the order the keys come.  The orbits must
-    tile the keys: every orbit lies in them and no two overlap, or
-    VerificationFailure is raised."""
-    left = set(keys)
-    reps = []
-    for key in keys:
-        if key in left:
-            reps.append(key)
-            orbit = set(_orbit(key, pairs))
-            if not orbit <= left:
-                raise VerificationFailure("diagonal orbits do not tile the "
-                                          f"{len(left)} keys left")
-            left -= orbit
-    return reps
+def _orbit_key(key, paired):
+    """The least key of the orbit {diag(omega**a, omega**b) * key}, with
+    no orbit built: row 0's least rotation by an a of D, then row 1's
+    least by a b that paired (each a to its list of b) pairs with it."""
+    top = _row_rotations(key[1:9])
+    a = min(paired, key=top.__getitem__)
+    bottom = _row_rotations(key[9:17])
+    return key[:1] + top[a] + min(map(bottom.__getitem__, paired[a]))
 
 
 def brute_force_mn(n, table):
     """Closure oracle for M_n on flat matrix keys; never consults the
     normalizer, the rules or the ring products.
 
-    Starts from all group elements and repeatedly adds c*T*m over all
-    group elements c.  Products are only taken against the previous
-    layer's new matrices: c*T*m for older m is in M_{k-1} by definition
-    and was produced at an earlier step.
+    Starts from the group and repeatedly adds c*T*m over its elements c,
+    for m in the last layer only: c*T*m for an older m is in M_{k-1} by
+    definition and was produced at an earlier step.
 
     Both loops are cut by D, the group elements whose key is diag(omega**a,
     omega**b): on <H,P> and <R,P> the 8 scalars times the 4 powers of P.
-    D is closed under products and inverses, so it is a subgroup, and
-    each d in D commutes with T.  So c*T*(d*m) = (c*d)*T*m, and c*d runs
-    over the group as c does: every matrix of a left orbit D*m yields the
-    same next layer, and the frontier keeps one matrix per orbit.  A layer
-    is a union of orbits, since d*(c*T*m) = (d*c)*T*m; so is what is left
-    of it once older layers (unions of orbits too) are removed, and the
-    orbits of a subgroup are disjoint, so they tile it (_orbit_reps checks
-    this).  The c loop takes c = d*r with r one representative of each
-    coset D*r (6 on <H,P>): each r costs one real multiplication r*(T*m),
-    and the other members of its coset are read off the eight
-    omega-rotations of each row of that product, row 0 by a and row 1 by b.
+    D is a subgroup (closed under products and inverses) that commutes
+    with T, so c*T*(d*m) = (c*d)*T*m, with c*d running over the group as c
+    does, and d*(c*T*m) = (d*c)*T*m: a left orbit D*m yields one next
+    layer, a layer is a union of orbits, and the c loop takes one r per
+    coset D*r (6 on <H,P>), one product r*(T*m) each.  An invertible
+    matrix has no zero row, so the 8 omega-rotations of a row are distinct
+    and D acts freely: _orbit_key reads an orbit's least key off the
+    rotations, and distinct keys mean disjoint orbits.  So a key already
+    in the set is dropped, each new orbit is expanded once, and the tiling
+    is checked by count: the group holds order/|D| orbits, and each layer
+    adds |D| keys per new orbit.
 
     Returns (set of flat keys, per-layer new-matrix counts).
     """
@@ -188,20 +178,27 @@ def brute_force_mn(n, table):
     t_key = table.t_mat.scaled_key()
 
     pairs = [p for p in map(_diagonal_powers, cliff_keys) if p is not None]
-    reps = _orbit_reps(cliff_keys, pairs)
+    paired = {a: [] for a, _ in pairs}
+    for a, b in pairs:
+        paired[a].append(b)
+    reps = frontier = list({_orbit_key(key, paired) for key in cliff_keys})
     total = set(cliff_keys)
-    layer_sizes = [len(total)]
-    frontier = reps
-    for _ in range(n):
-        new = set()
+    layer_sizes = [len(reps) * len(pairs)]
+    if len(total) != layer_sizes[0]:
+        raise VerificationFailure("D-orbits do not tile layer 0")
+    for layer in range(1, n + 1):
+        new = []
         for m in frontier:
             tm = _flat_mul(t_key, m)
             for r in reps:
-                new.update(_orbit(_flat_mul(r, tm), pairs))
-        new -= total
-        total |= new
-        layer_sizes.append(len(new))
-        frontier = _orbit_reps(new, pairs)
+                key = _orbit_key(_flat_mul(r, tm), paired)
+                if key not in total:
+                    total.update(_orbit(key, pairs))
+                    new.append(key)
+        layer_sizes.append(len(new) * len(pairs))
+        if len(total) != sum(layer_sizes):
+            raise VerificationFailure(f"D-orbits do not tile layer {layer}")
+        frontier = new
     return total, tuple(layer_sizes)
 
 

@@ -15,7 +15,7 @@ from weakref import WeakKeyDictionary
 
 from . import ring
 from .group import _check_table
-from .normalize import Block, _check_form, normal_form_matrix
+from .normalize import Block, _blocks_matrix, _check_form
 
 
 class NotSignedPauli(Exception):
@@ -174,6 +174,11 @@ def stab_trace(nf, table):
     leftmost.  A form that does not belong to the table, or whose blocks
     have a bare T after the leftmost, raises ValueError."""
     _check_chain(nf, table, "stab_trace")
+    return _trace(nf, table)
+
+
+def _trace(nf, table):
+    # stab_trace unchecked, for callers that have checked nf already.
     return list(accumulate(reversed(nf.blocks), step_block,
                            initial=initial_stab(nf.cliff, table)))
 
@@ -273,5 +278,6 @@ def nonidentity_witness(nf, table):
     if not nf.blocks:
         raise NoTGates("normal form has no T blocks")
     if len(nf.blocks) <= 2:
-        return normal_form_matrix(nf, table) != ring.IDENTITY
-    return classify(stab_trace(nf, table)[-1]) is not ParityClass.OTHER
+        m = _blocks_matrix(nf.blocks, table) * table.elements[nf.cliff]
+        return m != ring.IDENTITY
+    return classify(_trace(nf, table)[-1]) is not ParityClass.OTHER

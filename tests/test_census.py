@@ -161,14 +161,37 @@ def test_orbit_is_diagonal_products(table, r_rules):
                 [(d * m).scaled_key() for d in diags]
 
 
-def test_orbit_reps_refuse_keys_not_closed_under_diagonals(table):
-    pairs = [census._diagonal_powers(d.scaled_key())
-             for d in _diagonal_elements(table)]
-    keys = [m.scaled_key() for m in table.elements]
-    assert len(census._orbit_reps(keys, pairs)) == 6
+@pytest.mark.parametrize("basis", ["HP", "RP", "P"])
+def test_orbit_key_is_the_orbits_least_key(basis, table, r_rules):
+    tab = {"HP": table, "RP": r_rules.table,
+           "P": GroupTable([("P", ring.P)])}[basis]
+    diags = _diagonal_elements(tab)
+    pairs = [census._diagonal_powers(d.scaled_key()) for d in diags]
+    paired = {a: [b for c, b in pairs if c == a] for a, _ in pairs}
+    for m in tab.elements:
+        key = census._orbit_key(m.scaled_key(), paired)
+        assert key == min(census._orbit(m.scaled_key(), pairs))
+        for d in diags:
+            assert census._orbit_key((d * m).scaled_key(), paired) == key
+
+
+def _repeat_a_member(orbit):
+    # The orbit with its last member replaced by its first: one key short.
+    return lambda key, pairs: orbit(key, pairs)[:-1] + orbit(key, pairs)[:1]
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_oracle_refuses_orbits_that_do_not_tile(layer, table, monkeypatch):
+    # At the group, a key that is not reduced makes each element its own
+    # orbit: 192 orbits of 32 keys cannot tile 192 keys.  At a layer, an
+    # orbit that repeats a member adds 31 keys, not 32.
+    if layer == 0:
+        monkeypatch.setattr(census, "_orbit_key", lambda key, paired: key)
+    else:
+        monkeypatch.setattr(census, "_orbit", _repeat_a_member(census._orbit))
     with pytest.raises(census.VerificationFailure,
-                       match=r"diagonal orbits do not tile the \d+ keys left"):
-        census._orbit_reps(keys[1:], pairs)
+                       match=f"^D-orbits do not tile layer {layer}$"):
+        brute_force_mn(2, table)
 
 
 @pytest.fixture(scope="module")

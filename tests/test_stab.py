@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from hptcanon import ring, stab
+from hptcanon import normalize, ring, stab
 from hptcanon.group import GroupTable
 from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 from hptcanon.ring import RingElem
@@ -243,6 +243,24 @@ def test_witness_basics(table):
         nf = _random_form(rng, k, table)
         really = normal_form_matrix(nf, table) != ring.IDENTITY
         assert (nonidentity_witness(nf, table), really) == (True, True), nf
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_witness_checks_its_form_once(k, table, monkeypatch):
+    # stab holds its own binding of normalize._check_form; a second check
+    # could come through either name, so both count.
+    calls = []
+    real = normalize._check_form
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(normalize, "_check_form", counted)
+    monkeypatch.setattr(stab, "_check_form", counted)
+    nf = NormalForm((Block.T,) + (Block.HT,) * (k - 1), 5)
+    assert nonidentity_witness(nf, table)
+    assert calls == ["nonidentity_witness"]
 
 
 def test_two_block_classes_from_each_axis(table):

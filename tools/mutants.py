@@ -244,10 +244,30 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "total = table.order * len(seen)",
            "total = (table.order - 1) * len(seen)"),
+    Mutant("_orbit_key: a* is the least row-0 rotation",
+           "src/hptcanon/census.py",
+           "a = min(paired, key=top.__getitem__)",
+           "a = max(paired, key=top.__getitem__)"),
+    Mutant("_orbit_key: row 1 takes its least paired rotation",
+           "src/hptcanon/census.py",
+           "min(map(bottom.__getitem__, paired[a]))",
+           "bottom[paired[a][0]]"),
+    Mutant("the oracle drops a key already in its set",
+           "src/hptcanon/census.py",
+           "                if key not in total:\n",
+           "                if True:\n"),
+    Mutant("the group's D-orbits tile it, by count",
+           "src/hptcanon/census.py",
+           "    if len(total) != layer_sizes[0]:\n",
+           "    if False:\n"),
+    Mutant("each oracle layer adds |D| keys per new orbit, by count",
+           "src/hptcanon/census.py",
+           "        if len(total) != sum(layer_sizes):\n",
+           "        if False:\n"),
     Mutant("the oracle's frontier is the last layer's orbits",
            "src/hptcanon/census.py",
-           "frontier = _orbit_reps(new, pairs)",
-           "frontier = reps"),
+           "        frontier = new\n",
+           "        frontier = reps\n"),
     # stab: the triples and their check.
     Mutant("step_block: PHT's z_a is x_a - y_a",
            "src/hptcanon/stab.py",
