@@ -9,7 +9,7 @@ normal forms with T gates cannot be the identity.
 """
 
 from enum import Enum
-from itertools import accumulate, product
+from itertools import product
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -120,6 +120,25 @@ def initial_stab(w0, table):
 _T, _HT, _PHT = map(int, (Block.T, Block.HT, Block.PHT))
 
 
+def _fold(st, blocks):
+    # The block recurrences, unchecked: six coefficients and level per block.
+    (xa, xb), (ya, yb), (za, zb), level = st
+    for level, block in enumerate(blocks, level + 1):
+        if block == _T:
+            xa, xb, ya, yb, za, zb = xa - ya, xb - yb, xa + ya, xb + yb, 2 * zb, za
+        elif block == _HT:
+            xa, xb, ya, yb, za, zb = 2 * zb, za, -xa - ya, -xb - yb, xa - ya, xb - yb
+        elif block == _PHT:
+            xa, xb, ya, yb, za, zb = xa + ya, xb + yb, 2 * zb, za, xa - ya, xb - yb
+        else:
+            raise ValueError(f"unknown block {block!r}")
+        yield xa, xb, ya, yb, za, zb, level
+
+
+def _triple(xa, xb, ya, yb, za, zb, level):
+    return tuple.__new__(StabTriple, ((xa, xb), (ya, yb), (za, zb), level))
+
+
 def step_block(st, block):
     """Triple for block * (current state); one more sqrt2 in the
     denominator, pure integer updates on the six coefficients."""
@@ -128,15 +147,12 @@ def step_block(st, block):
     except (TypeError, ValueError):
         _check_triple(st, "step_block")
         raise
-    if block == _T:
-        nxt = (xa - ya, xb - yb), (xa + ya, xb + yb), (2 * zb, za), level + 1
-    elif block == _HT:
-        nxt = (2 * zb, za), (-xa - ya, -xb - yb), (xa - ya, xb - yb), level + 1
-    elif block == _PHT:
-        nxt = (xa + ya, xb + yb), (2 * zb, za), (xa - ya, xb - yb), level + 1
-    else:
-        raise ValueError(f"unknown block {block!r}")
-    return tuple.__new__(StabTriple, nxt)
+    return _triple(*next(_fold(st, (block,))))
+
+
+def _code(xa, xb, ya, yb, za, zb):
+    return ((xa & 1) * 32 + (xb & 1) * 16 + (ya & 1) * 8
+            + (yb & 1) * 4 + (za & 1) * 2 + (zb & 1))
 
 
 def parity_code(st):
@@ -144,8 +160,7 @@ def parity_code(st):
     bits of a 6-bit code, x_a the highest."""
     try:
         (xa, xb), (ya, yb), (za, zb), _ = st
-        return ((xa & 1) * 32 + (xb & 1) * 16 + (ya & 1) * 8
-                + (yb & 1) * 4 + (za & 1) * 2 + (zb & 1))
+        return _code(xa, xb, ya, yb, za, zb)
     except (TypeError, ValueError):
         _check_triple(st, "parity_code")
         raise
@@ -179,25 +194,27 @@ def stab_trace(nf, table):
 
 def _trace(nf, table):
     # stab_trace unchecked, for callers that have checked nf already.
-    return list(accumulate(reversed(nf.blocks), step_block,
-                           initial=initial_stab(nf.cliff, table)))
+    st = initial_stab(nf.cliff, table)
+    return [st, *(_triple(*c) for c in _fold(st, reversed(nf.blocks)))]
 
 
-def law_walk(trace, blocks):
-    """Walk a form's stab_trace against the transition law: trace[i + 1]
-    must be in the class _LAW gives for the class of trace[i] under the
-    i-th block from the right, when that class is in a family.  Returns
-    (transitions checked, whether all held); the walk stops at the first
-    broken transition, which it counts."""
-    law = None
-    checks = 0
-    for b, code in zip((None, *reversed(blocks)), map(parity_code, trace)):
-        if law is not None:
+def law_walk(nf, table):
+    """Fold a form as stab_trace does, refusing the same forms, and check
+    the transition law on the way: after the i-th block from the right, a
+    triple whose class was in a family must be in _LAW's class for that
+    block.  Returns (transitions checked, whether all held, stab_trace's
+    last triple), counting the first broken transition and none after it."""
+    _check_chain(nf, table, "law_walk")
+    (xa, xb), (ya, yb), (za, zb), level = st = initial_stab(nf.cliff, table)
+    law = _LAW_BY_CODE[_code(xa, xb, ya, yb, za, zb)]
+    checks, ok, blocks = 0, True, nf.blocks[::-1]
+    for b, (xa, xb, ya, yb, za, zb, level) in zip(blocks, _fold(st, blocks)):
+        code = _code(xa, xb, ya, yb, za, zb)
+        if law is not None and ok:
             checks += 1
-            if _CLASS_BY_CODE[code] is not law[b]:
-                return checks, False
+            ok = _CLASS_BY_CODE[code] is law[b]
         law = _LAW_BY_CODE[code]
-    return checks, True
+    return checks, ok, _triple(xa, xb, ya, yb, za, zb, level)
 
 
 def _numerators(st):
@@ -235,10 +252,8 @@ def step_law_counterexample(table):
     for b in Block:
         m = table.block_matrices[b]
         for level in (0, 1):
-            for axis, unit in product(range(3), ((1, 0), (0, 1))):
-                coeffs = [(0, 0)] * 3
-                coeffs[axis] = unit
-                st = StabTriple(*coeffs, level)
+            for i in range(6):
+                st = _triple(*(int(j == i) for j in range(6)), level)
                 if stab_matrix(step_block(st, b)) * m != m * stab_matrix(st):
                     return b, level, st
     return None

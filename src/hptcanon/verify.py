@@ -244,17 +244,21 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     """Stabilizer folds of `count` seeded random chains of 2..30 blocks,
     against the paper's parity-class transition laws and exact states.
 
+    Each chain is walked once: stab.law_walk folds it from its tail's
+    axis, checks every class transition out of a family against the law
+    as it goes, and hands back the last triple for the end checks.
+
     The states are proved, not stepped.  stab.step_law_counterexample
     proves, for every triple at every level, that step_block(st, b)
-    stabilizes B s whenever st stabilizes s.  initial_stab is exact at
-    level 0: it is read off f(W0)*Z*f(W0)^dagger.  By induction every
-    triple of a chain's stab_trace stabilizes its prefix's state.  One
-    exact end check per chain then ties the fold to evaluate, which is
-    independent of it: the last triple must stabilize
-    normal_form_matrix(nf)|0>.
+    stabilizes B s whenever st stabilizes s, and step_block is one step
+    of the same fold.  initial_stab is exact at level 0: it is read off
+    f(W0)*Z*f(W0)^dagger.  By induction every triple of the fold
+    stabilizes its prefix's state.  One exact end check per chain then
+    ties the fold to evaluate, which is independent of it: the last
+    triple must stabilize normal_form_matrix(nf)|0>.
 
-    Per chain, every class transition out of a family must follow the
-    law (stab.law_walk), the final class must be T1..T9
+    Per chain, every transition must follow the law, the last triple
+    must be at level k, its class must be T1..T9
     (nonidentity_witness's certificate for >= 3 blocks) and the matrix
     must not be the identity (the witness for 2 blocks).  A failed step
     law gives ok=False and names its first counterexample's block and
@@ -275,14 +279,13 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
         blocks = (choice(FIRST_BLOCKS),
                   *map(choice, repeat(REST_BLOCKS, k - 1)))
         cliff = rng.randrange(table.order)
-        trace = stab.stab_trace(NormalForm(blocks, cliff), table)
-        checks, ok = stab.law_walk(trace, blocks)
+        checks, ok, last = stab.law_walk(NormalForm(blocks, cliff), table)
         law_checks += checks
         m = _blocks_matrix(blocks, table) * table.elements[cliff]
-        if (not ok or trace[-1].level != k
-                or stab.classify(trace[-1]) is stab.ParityClass.OTHER
+        if (not ok or last.level != k
+                or stab.classify(last) is stab.ParityClass.OTHER
                 or m == ring.IDENTITY
-                or not stab.verify_stabilizes(trace[-1], m)):
+                or not stab.verify_stabilizes(last, m)):
             failures += 1
     dt = time.perf_counter() - t0
     ok = counterexample is None and failures == 0 and dt < 30.0

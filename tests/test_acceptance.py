@@ -138,7 +138,7 @@ def test_stabilizer_chains_must_end_in_a_parity_class(table, rules,
     # Every triple read as parity code 0, class OTHER: no transition law
     # applies, so only the terminal-class condition can fail these chains.
     assert stab._CLASS_BY_CODE[0] is stab.ParityClass.OTHER
-    monkeypatch.setattr(stab, "parity_code", lambda st: 0)
+    monkeypatch.setattr(stab, "_code", lambda *coefficients: 0)
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (res.ok, res.detail) == (
         False, "20 chains, 0 transition-law checks, 20 failures, "
@@ -149,30 +149,33 @@ def test_law_walk_counts_sum_to_the_chains_detail(table, rules, monkeypatch):
     walks = []
     law_walk = stab.law_walk
 
-    def recorded(trace, blocks):
-        walks.append(law_walk(trace, blocks))
+    def recorded(nf, table):
+        walks.append(law_walk(nf, table))
         return walks[-1]
     monkeypatch.setattr(stab, "law_walk", recorded)
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
-    assert (len(walks), all(ok for _, ok in walks)) == (20, True)
+    assert (len(walks), all(ok for _, ok, _ in walks)) == (20, True)
     assert res.detail.startswith(
-        f"20 chains, {sum(checks for checks, _ in walks)} transition-law "
+        f"20 chains, {sum(checks for checks, _, _ in walks)} transition-law "
         "checks, 0 failures")
 
 
 def test_stabilizer_chains_name_a_broken_step_law(table, rules,
                                                   monkeypatch):
-    # One wrong coefficient in the PHT branch: z_a gets x_a + y_a, not
-    # x_a - y_a.  Parities are unchanged, so every transition law still
-    # holds; the step law and each chain's end check fail.
-    step_block = stab.step_block
+    # One wrong coefficient in the fold's PHT branch: z_a gets x_a + y_a,
+    # not x_a - y_a.  step_block and the chains both fold through it.
+    # Parities are unchanged, so every transition law still holds; the
+    # step law and each chain's end check fail.
+    fold = stab._fold
 
-    def wrong(st, b):
-        nxt = step_block(st, b)
-        if b != Block.PHT:
-            return nxt
-        return nxt._replace(z=(st.x[0] + st.y[0], nxt.z[1]))
-    monkeypatch.setattr(stab, "step_block", wrong)
+    def wrong(st, blocks):
+        for b in blocks:
+            xa, xb, ya, yb, za, zb, level = next(fold(st, (b,)))
+            if b == Block.PHT:
+                za = st[0][0] + st[1][0]
+            st = (xa, xb), (ya, yb), (za, zb), level
+            yield xa, xb, ya, yb, za, zb, level
+    monkeypatch.setattr(stab, "_fold", wrong)
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (res.ok, res.detail) == (
         False, "20 chains, 281 transition-law checks, 20 failures, "

@@ -72,7 +72,7 @@ def valid(table, rules):
         "nf": NormalForm((Block.HT,), 0),
         "x": (0, 0), "y": (0, 0), "z": (1, 0), "level": 0, "w0": 0,
         "st": StabTriple((0, 0), (0, 0), (1, 0), 0), "block": Block.HT,
-        "trace": [], "m": ring.IDENTITY,
+        "m": ring.IDENTITY,
         "n": 1, "exact": False, "with_oracle": False,
         "ctx": {"table": table, "rules": rules}, "nmax": 1,
         "oracle_max": 1, "tmax": 1, "count": 1, "seed": 0,

@@ -3,7 +3,7 @@
 import gc
 import random
 import weakref
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -140,15 +140,52 @@ def test_parity_code_reads_the_parities_as_binary():
 def test_law_walk_stops_at_the_first_broken_transition(table, monkeypatch):
     # From the z axis the classes run OTHER, OTHER, T2, T1, ..., T2, T3:
     # the transitions into levels 3..9 leave a family, so seven are
-    # checked.  Level j read as code 0 (OTHER) breaks the j-th.
+    # checked.  Level j read as code 0 (OTHER) breaks the j-th; the walk
+    # reads one code per level, from level 0 up.
     nf = NormalForm((Block.T, *(Block.HT, Block.PHT) * 4), 0)
-    trace = stab_trace(nf, table)
-    assert law_walk(trace, nf.blocks) == (7, True)
-    real = stab.parity_code
+    assert law_walk(nf, table)[:2] == (7, True)
+    real = stab._code
     for j in range(3, 10):
-        monkeypatch.setattr(stab, "parity_code",
-                            lambda st, j=j: 0 if st is trace[j] else real(st))
-        assert law_walk(trace, nf.blocks) == (j - 2, False)
+        monkeypatch.setattr(stab, "_code", lambda *c, j=j, n=count():
+                            0 if next(n) == j else real(*c))
+        assert law_walk(nf, table)[:2] == (j - 2, False)
+
+
+def _reference_walk(nf, table, law):
+    # law_walk rebuilt from stab_trace: each triple's class read off the
+    # bits of its parity_code, and law's class for the block after it.
+    def cls(st):
+        bits = tuple(map(int, f"{parity_code(st):06b}"))
+        return stab._CLASS_BY_PARITY.get(bits, ParityClass.OTHER)
+    trace = stab_trace(nf, table)
+    checks = 0
+    for b, st, nxt in zip(reversed(nf.blocks), trace, trace[1:]):
+        family = stab._FAMILY.get(cls(st))
+        if family is not None:
+            checks += 1
+            if cls(nxt) is not law[family][b]:
+                return checks, False, trace[-1]
+    return checks, True, trace[-1]
+
+
+def test_law_walk_matches_a_walk_over_stab_trace(table, r_rules,
+                                                 monkeypatch):
+    # Seeded forms of 0..30 blocks on <H,P> and <R,P>, under the paper's
+    # law and under one with family A sent to T1 by HT, which breaks.
+    wrong = {**stab._LAW, "A": (ParityClass.T3, ParityClass.T1,
+                                ParityClass.T1)}
+    rng = random.Random(73)
+    breaks = 0
+    for law in (stab._LAW, wrong):
+        monkeypatch.setattr(stab, "_LAW_BY_CODE", tuple(
+            law.get(stab._FAMILY.get(c)) for c in stab._CLASS_BY_CODE))
+        for t in (table, r_rules.table):
+            for k in [*range(31), *(rng.randint(0, 30) for _ in range(60))]:
+                nf = _random_form(rng, k, t)
+                want = _reference_walk(nf, t, law)
+                assert law_walk(nf, t) == want, nf
+                breaks += not want[1]
+    assert breaks > 0
 
 
 def test_fold_over_normal_form(table):

@@ -269,10 +269,14 @@ MUTANTS = (
            "        frontier = new\n",
            "        frontier = reps\n"),
     # stab: the triples and their check.
-    Mutant("step_block: PHT's z_a is x_a - y_a",
+    Mutant("_fold: PHT's z_a is x_a - y_a",
            "src/hptcanon/stab.py",
-           "nxt = (xa + ya, xb + yb), (2 * zb, za), (xa - ya, xb - yb)",
-           "nxt = (xa + ya, xb + yb), (2 * zb, za), (xa + ya, xb - yb)"),
+           "= xa + ya, xb + yb, 2 * zb, za, xa - ya, xb - yb",
+           "= xa + ya, xb + yb, 2 * zb, za, xa + ya, xb - yb"),
+    Mutant("the fold adds one level per block",
+           "src/hptcanon/stab.py",
+           "    for level, block in enumerate(blocks, level + 1):\n",
+           "    for block in blocks:\n"),
     Mutant("initial_stab: the y axis keeps its sign",
            "src/hptcanon/stab.py",
            "st = StabTriple((key[9], 0), (key[11], 0), (key[1], 0), 0)",
@@ -281,7 +285,7 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "(0, 1, 0, 0, 0, 1): ParityClass.T1,",
            "(0, 1, 0, 0, 0, 1): ParityClass.T2,"),
-    Mutant("parity_code: x_a is the high bit, x_b the next",
+    Mutant("_code: x_a is the high bit, x_b the next",
            "src/hptcanon/stab.py",
            "return ((xa & 1) * 32 + (xb & 1) * 16",
            "return ((xa & 1) * 16 + (xb & 1) * 32"),
@@ -311,12 +315,12 @@ MUTANTS = (
            '"A": (ParityClass.T3, ParityClass.T1, ParityClass.T1),'),
     Mutant("law_walk stops at the first broken transition",
            "src/hptcanon/stab.py",
-           "                return checks, False\n"
-           "        law = _LAW_BY_CODE[code]\n"
-           "    return checks, True\n",
-           "                held = False\n"
-           "        law = _LAW_BY_CODE[code]\n"
-           "    return checks, \"held\" not in locals()\n"),
+           "        if law is not None and ok:\n",
+           "        if law is not None:\n"),
+    Mutant("law_walk returns the fold's last triple, not the initial one",
+           "src/hptcanon/stab.py",
+           "    return checks, ok, _triple(xa, xb, ya, yb, za, zb, level)\n",
+           "    return checks, ok, st\n"),
     # verify: the headline checks.
     Mutant("the ctx guard names the check for a ctx without its tables",
            "src/hptcanon/verify.py",
@@ -336,11 +340,11 @@ MUTANTS = (
            "    if False:\n"),
     Mutant("stabilizer-chains ends on the form's matrix",
            "src/hptcanon/verify.py",
-           "not stab.verify_stabilizes(trace[-1], m)",
-           "not stab.verify_stabilizes(trace[-1], table.elements[cliff])"),
+           "not stab.verify_stabilizes(last, m)",
+           "not stab.verify_stabilizes(last, table.elements[cliff])"),
     Mutant("stabilizer-chains needs a final parity class",
            "src/hptcanon/verify.py",
-           "or stab.classify(trace[-1]) is stab.ParityClass.OTHER",
+           "or stab.classify(last) is stab.ParityClass.OTHER",
            "or False"),
     Mutant("oracle-match holds its count to the closed form",
            "src/hptcanon/verify.py",
