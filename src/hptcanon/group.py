@@ -9,15 +9,17 @@ decomposition, and the scalar (global phase) subgroup.  An element g's
 coset tag is its `coset_slots` entry: the index of the S with S_adj * g
 in C_T in `syndrome_ids` and `syndrome_labels`.
 
-The other tables are derived from the closure's parent links: a column
-of the multiplication table is its parent's column looked up in one
-generator step table, an inverse is where a row hits the identity, and
-an element's T-conjugate is its parent's conjugate times its last
-generator's, one exact product per element.  The closure itself steps
-on flat keys with ring._gate_mul, so an H or P step is a column sum and
-difference or a column rotation, not a full product.  The table keeps
-the closure tree, and GroupTable.right_products walks it to multiply
-one matrix by every element with one generator step per element.
+The other tables come off the closure tree by table lookups alone, with
+no matrix product: a row of the multiplication table (a tuple) is its
+parent's row read through one left-multiplication table, an inverse is
+its last generator's inverse times its parent's inverse, and an
+element's T-conjugate is its own key with the off-diagonal entries
+turned by a unit, looked up in the closure's key dict.  The closure
+itself steps on flat keys with ring._gate_mul, so an H or P step is a
+column sum and difference or a column rotation, not a full product.  The
+table keeps the closure tree, and GroupTable.right_products walks it to
+multiply one matrix by every element with one generator step per
+element.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ class GroupTable:
     """Immutable closure table; elements are addressed by integer id.
 
     Id 0 is the identity (canonical word "").  `mul[i][j]` is the id of
-    elements[i] * elements[j], matching left-to-right circuit composition.
-    `t_conj[g]` is the id of T * elements[g] * T_adj, or None when that
-    matrix is not an element; `ct_ids` is the set of g where it is not
-    None.
+    elements[i] * elements[j], matching left-to-right circuit composition;
+    each row `mul[i]` is a tuple.  `t_conj[g]` is the id of
+    T * elements[g] * T_adj, or None when that matrix is not an element;
+    `ct_ids` is the set of g where it is not None.
     """
 
     def __init__(self, generators):
@@ -53,22 +55,32 @@ class GroupTable:
         pairs) under multiplication, breadth-first on flat keys: each
         (element, generator) product is one ring._gate_mul step, a column
         sum and difference for the ring's own H and a column rotation for
-        its own P.  Every other table is derived from the tree it grows,
-        which is kept for right_products.
+        its own P.  Every other table is read off the tree it grows by
+        table lookups, with no matrix product; the tree is kept for
+        right_products.
 
-        A name that is not one letter raises ValueError, and a matrix that
-        is not a UMat2 raises TypeError.  Raises ClosureExceedsLimit if
-        more than CLOSURE_LIMIT distinct elements appear, so the generators
-        of an infinite group, such as {H, T}, cannot loop forever.  T is
-        the non-Clifford gate used for the conjugation subgroup and cosets.
+        A name that is not one letter, is T (the gate the table conjugates
+        by), is one that parse drops (I, '.', '|' or whitespace) or repeats
+        an earlier name raises ValueError, and a matrix that is not a UMat2
+        raises TypeError.  Raises ClosureExceedsLimit if more than
+        CLOSURE_LIMIT distinct elements appear, so the generators of an
+        infinite group, such as {H, T}, cannot loop forever.  T is the
+        non-Clifford gate used for the conjugation subgroup and cosets.
         """
         gens = [(name, mat) for name, mat in generators]
         if not gens:
             raise ValueError("at least one generator required")
-        for name, mat in gens:
+        for pos, (name, mat) in enumerate(gens):
             if len(name) != 1:
                 raise ValueError(
                     f"generator names must be single letters: {name!r}")
+            if name == "T":
+                raise ValueError("generator name 'T' is taken by the T gate")
+            if name in "I.|" or name.isspace():
+                raise ValueError(
+                    f"generator name {name!r} is a character parse drops")
+            if any(name == other for other, _ in gens[:pos]):
+                raise ValueError(f"generator name {name!r} is repeated")
             if not isinstance(mat, UMat2):
                 raise TypeError(f"generator {name!r} must be a UMat2, "
                                 f"not {type(mat).__name__}")
@@ -108,27 +120,39 @@ class GroupTable:
         # (parent, generator matrix) of each element j >= 1, in id order.
         self._tree = tuple(zip(parent[1:], [gens[g][1] for g in last[1:]]))
 
-        # Multiplication table, one column at a time: elements[i] * elements[j]
-        # = (elements[i] * elements[parent[j]]) * generator last[j], and
-        # parent[j] < j, so column j is column parent[j] looked up in one
-        # step table.  This costs table lookups only.
-        columns = [tuple(range(n))]
-        for j in range(1, n):
-            columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))
-        mul = self.mul = [list(row) for row in zip(*columns)]
+        # left[g][j] is the id of generator g * elements[j]: elements[j] is
+        # elements[parent[j]] * generator last[j], and parent[j] < j, so it
+        # walks the tree with one step-table lookup per element.
+        left = []
+        for step in gen_step:
+            row = [step[0]]
+            for j in range(1, n):
+                row.append(gen_step[last[j]][row[parent[j]]])
+            left.append(row)
+        # Multiplication table, one row at a time: elements[i] * elements[j]
+        # = elements[parent[i]] * (generator last[i] * elements[j]), so row
+        # i is row parent[i] read through left[last[i]].  No product.
+        mul = self.mul = [tuple(range(n))]
+        for i in range(1, n):
+            mul.append(itemgetter(*left[last[i]])(mul[parent[i]]))
 
-        # Each row is a permutation: the inverse is where it hits the identity.
-        inv = self.inv = [row.index(0) for row in mul]
+        # (elements[parent[i]] * g)^-1 = g^-1 * elements[parent[i]]^-1 for
+        # g = generator last[i], and gen_inv[g] is the id of g^-1.
+        gen_inv = [step.index(0) for step in gen_step]
+        inv = self.inv = [0]
+        for i in range(1, n):
+            inv.append(mul[gen_inv[last[i]]][inv[parent[i]]])
 
-        # T-conjugation is multiplicative, so T * elements[j] * T_adj is the
-        # parent's conjugate times the generator's: one product per element.
+        # T = diag(1, omega), so T * M * T_adj is M with e01 turned by
+        # omega**-1, (a, b, c, d) -> (b, c, d, -a), and e10 turned by omega,
+        # (a, b, c, d) -> (-d, a, b, c).  A unit keeps every entry's sqrt2
+        # divisibility, so the turned key is canonical: one dict lookup.
         t_mat = self.t_mat = ring.T
-        t_adj = t_mat.adjoint()
-        gen_conj = [(t_mat * mat) * t_adj for _, mat in gens]
-        conj = [ring.IDENTITY]
-        for j in range(1, n):
-            conj.append(conj[parent[j]] * gen_conj[last[j]])
-        t_conj = self.t_conj = tuple(map(index.get, conj))
+        t_conj = self.t_conj = tuple(
+            ids.get((k, a0, b0, c0, d0, b1, c1, d1, -a1, -d2, a2, b2, c2,
+                     a3, b3, c3, d3))
+            for (k, a0, b0, c0, d0, a1, b1, c1, d1,
+                 a2, b2, c2, d2, a3, b3, c3, d3) in keys)
         ct_ids = self.ct_ids = frozenset(
             i for i, c in enumerate(t_conj) if c is not None)
 

@@ -27,7 +27,8 @@ class RuleTable:
     a RuleTable is the whole context the normalizer needs.  `merge[x][w1]`
     is the pending element after a T whose rule has the identity syndrome
     meets a previous block x: X*T*T*W1 = X*P*W1, with X the block's
-    syndrome and P = T*T the second generator, whose letter is `tt`.
+    syndrome and P = T*T the second generator, whose letter is `tt`.  Each
+    `merge[x]` is a row of the table's `mul`, a tuple.
 
     The normalizer reads a circuit as byte codes, one per gate: `codes`
     is a str.translate table that maps T to chr(0) and generator i to

@@ -1,11 +1,13 @@
 """Clifford group closure, canonical words, cosets, scalars, quotient."""
 
 import random
+import re
 
 import pytest
 
 from hptcanon import ring
-from hptcanon.group import (ClosureExceedsLimit, GroupTable, quotient_profile,
+from hptcanon.group import (ClosureExceedsLimit, GroupTable,
+                            build_standard_table, quotient_profile,
                             subgroup_ct)
 from hptcanon.normalize import Block, NormalForm, evaluate, normal_form_matrix
 
@@ -16,7 +18,7 @@ def test_order_and_identity_word(table):
 
 
 def test_single_generator_identity_group():
-    t = GroupTable([("I", ring.IDENTITY)])
+    t = GroupTable([("E", ring.IDENTITY)])
     assert t.order == 1
     assert t.words == [""]
 
@@ -26,11 +28,42 @@ def test_group_table_refuses_non_matrix_generators():
         GroupTable([("H", 5)])
 
 
+@pytest.mark.parametrize("gens, message", [
+    # T would be read as a generator by the rules but as ring.T by evaluate.
+    ([("T", ring.H), ("P", ring.P)],
+     "generator name 'T' is taken by the T gate"),
+    # A repeat would leave gates and letter_step one generator short.
+    ([("H", ring.H), ("H", ring.P)], "generator name 'H' is repeated"),
+    # parse drops these, so normalize(parse(w)) would drop the gate.
+    *[([("H", ring.H), (ch, ring.P)],
+       f"generator name {ch!r} is a character parse drops")
+      for ch in ("I", ".", "|", " ", "\n")],
+], ids=["T", "repeat", "I", "dot", "bar", "space", "newline"])
+def test_group_table_refuses_names_that_would_misread(gens, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GroupTable(gens)
+
+
+def test_standard_build_takes_four_products(monkeypatch):
+    # The P*H syndrome and the three block matrices: every other table
+    # comes off the closure tree by lookups.
+    calls = []
+    mat_mul = ring._mat_mul
+
+    def counted(x, y):
+        calls.append(None)
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(ring, "_mat_mul", counted)
+    build_standard_table()
+    assert len(calls) == 4
+
+
 def test_closure_limit_enforced():
     # <H, T> is infinite: its closure stops at the limit.
     with pytest.raises(ClosureExceedsLimit,
                        match="^group closure exceeded 10000 elements$"):
-        GroupTable([("H", ring.H), ("T", ring.T)])
+        GroupTable([("H", ring.H), ("U", ring.T)])
 
 
 def test_canonical_words_are_shortest_and_lex_least(table):
@@ -51,16 +84,23 @@ def test_canonical_words_are_shortest_and_lex_least(table):
         assert table.words[gid] == first_word[table.elements[gid]]
 
 
-@pytest.mark.parametrize("gens", [(("H", ring.H), ("P", ring.P)),
-                                  (("R", ring.R), ("P", ring.P))],
-                         ids=["HP", "RP"])
-def test_mul_and_t_conj_match_direct_products(gens):
+@pytest.mark.parametrize("gens, order", [
+    ((("H", ring.H), ("P", ring.P)), 192),
+    ((("R", ring.R), ("P", ring.P)), 192),
+    # One-generator tables reach the row and inverse recurrences' n = 4,
+    # 2 and 1 cases; T * X * T_adj is not in <X>, so its t_conj is None.
+    ((("P", ring.P),), 4),
+    ((("X", ring.PAULI_X),), 2),
+    ((("E", ring.IDENTITY),), 1),
+], ids=["HP", "RP", "P", "X", "I"])
+def test_mul_and_t_conj_match_direct_products(gens, order):
     t = GroupTable(gens)
-    assert t.order == 192
+    assert t.order == order
     for i, a in enumerate(t.elements):
         row = t.mul[i]
         for j, b in enumerate(t.elements):
             assert row[j] == t.index[a * b]
+        assert t.elements[t.inv[i]] == a.adjoint()
     t_mat, t_adj = t.t_mat, t.t_mat.adjoint()
     for g, m in enumerate(t.elements):
         assert t.t_conj[g] == t.index.get((t_mat * m) * t_adj)

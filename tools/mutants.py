@@ -85,14 +85,42 @@ MUTANTS = (
            "self.letter_step = dict(zip(gen_names, gen_step))",
            "self.letter_step = dict(zip(gen_names, [gen_step[0][:5] + "
            "gen_step[0][6:7] + gen_step[0][6:], *gen_step[1:]]))"),
-    Mutant("a mul column steps by its element's last generator",
+    Mutant("GroupTable refuses the generator name T",
            "src/hptcanon/group.py",
-           "columns.append(itemgetter(*columns[parent[j]])(gen_step[last[j]]))",
-           "columns.append(itemgetter(*columns[parent[j]])(gen_step[0]))"),
-    Mutant("t_conj steps by its element's last generator",
+           '            if name == "T":\n',
+           "            if False:\n"),
+    Mutant("GroupTable refuses a name that parse drops",
            "src/hptcanon/group.py",
-           "conj.append(conj[parent[j]] * gen_conj[last[j]])",
-           "conj.append(conj[parent[j]] * gen_conj[0])"),
+           '            if name in "I.|" or name.isspace():\n',
+           '            if name in "I.":\n'),
+    Mutant("GroupTable refuses a repeated generator name",
+           "src/hptcanon/group.py",
+           "if any(name == other for other, _ in gens[:pos]):",
+           "if False:"),
+    Mutant("a mul row is read off its element's parent's row",
+           "src/hptcanon/group.py",
+           "mul.append(itemgetter(*left[last[i]])(mul[parent[i]]))",
+           "mul.append(itemgetter(*left[last[i]])(mul[i - 1]))"),
+    Mutant("a mul row steps by its element's last generator",
+           "src/hptcanon/group.py",
+           "mul.append(itemgetter(*left[last[i]])(mul[parent[i]]))",
+           "mul.append(itemgetter(*left[0])(mul[parent[i]]))"),
+    Mutant("the left-step walk reads each element's parent",
+           "src/hptcanon/group.py",
+           "row.append(gen_step[last[j]][row[parent[j]]])",
+           "row.append(gen_step[last[j]][row[j - 1]])"),
+    Mutant("an inverse steps by its element's last generator",
+           "src/hptcanon/group.py",
+           "inv.append(mul[gen_inv[last[i]]][inv[parent[i]]])",
+           "inv.append(mul[gen_inv[0]][inv[parent[i]]])"),
+    Mutant("t_conj turns e01 by a unit, not a bare shift",
+           "src/hptcanon/group.py",
+           "b1, c1, d1, -a1, -d2",
+           "b1, c1, d1, a1, -d2"),
+    Mutant("t_conj turns e01 by omega**-1 and e10 by omega",
+           "src/hptcanon/group.py",
+           "ids.get((k, a0, b0, c0, d0, b1, c1, d1, -a1, -d2, a2, b2, c2,",
+           "ids.get((k, a0, b0, c0, d0, -d1, a1, b1, c1, b2, c2, d2, -a2,"),
     Mutant("an element in two syndrome cosets has no slot",
            "src/hptcanon/group.py",
            "matches[0] if len(matches) == 1 else None",
