@@ -5,17 +5,21 @@ paper's closed forms for the 192-element group, |M_n| = 192*(3*2**n - 2)
 and |M_=n| = 3*192*2**(n-1), count block tuples times tails: each of the
 3*2**(n-1) tuples of n blocks carries every tail; verify holds each
 layer to them.  Uniqueness is checked two independent ways: by
-evaluating the normal forms exactly, and by a brute-force closure oracle
-on flat matrix keys that never consults the normalizer, rules or ring
-products.  The oracle keeps one key per orbit of the diagonal Cliffords
-D, the diag(omega**a, omega**b) that commute with T: it takes one product
-per coset D*r and reduces each to its orbit's least key.  The other
-entry points take the group table they walk (<R,P> too).
+evaluating the normal forms exactly, one block tuple at a time, each
+keyed by its Clifford coset's exact Bloch columns (bloch.coset_key, no
+product by a tail), whose exponent also certifies T-optimality; and by a
+brute-force closure oracle on flat matrix keys that never consults the
+normalizer, rules or ring products.  The oracle keeps one key per orbit
+of the diagonal Cliffords D, the diag(omega**a, omega**b) that commute
+with T: it takes one product per coset D*r and reduces each to its
+orbit's least key.  The other entry points take the group table they
+walk (<R,P> too).
 """
 
 from functools import partial
 from itertools import chain, product
 
+from .bloch import bloch, coset_key
 from .group import _check_table
 from .normalize import FIRST_BLOCKS, REST_BLOCKS, NormalForm, _blocks_matrix
 
@@ -202,6 +206,18 @@ def brute_force_mn(n, table):
     return total, tuple(layer_sizes)
 
 
+def _check_clifford(table):
+    # Only the 192-element Clifford group has the cosets the sweep keys:
+    # generators with an integer R (sde 0, so signed permutations) make a
+    # group inside the 8 * 24 products omega**j * C, and order 192 fills
+    # it.  Two bloch calls on <H,P> and <R,P>.
+    if table.order != 192 or any(
+            bloch(table.elements[g].scaled_key())[0]
+            for g in table.gen_ids.values()):
+        raise ValueError("verify_uniqueness() table must be the "
+                         "192-element Clifford group")
+
+
 def verify_uniqueness(n, table, with_oracle=True):
     """Evaluate every normal form with <= n blocks and check Theorem-1
     style uniqueness: all matrices pairwise distinct and (when enabled)
@@ -209,18 +225,29 @@ def verify_uniqueness(n, table, with_oracle=True):
     raises VerificationFailure, so the one count returned is the number
     of normal forms, of distinct matrices and (when enabled) of oracle
     keys alike.  Whether that count is the closed form's is decided in
-    verify, which prints it.
+    verify, which prints it.  A table that is not the 192-element
+    Clifford group raises ValueError.
 
-    The forms of a block tuple with matrix B are the coset B*G: one walk
-    of the closure tree (right_products) gives their keys, read by tail
-    id.  B is invertible and the elements are distinct, so one tuple's
-    forms never collide; two cosets are equal or disjoint, so distinct
-    minimum keys mean distinct matrices.  So one key per tuple is kept,
-    not one per form, and the count is table.order forms per key kept.
-    The oracle's set must hold every coset, and is equal to the forms'
-    when it also has as many keys as there are forms."""
+    The forms of a block tuple with matrix B are the coset B*G.  B is
+    invertible and the elements are distinct, so one tuple's forms never
+    collide, and two cosets are equal or disjoint.  bloch.coset_key names
+    the coset with no product by a tail: R(B*C) = R(B)*R(C) permutes and
+    signs R(B)'s columns, and equal keys mean cosets equal up to an
+    omega**j, which G holds.  So one key per tuple is kept, not one per
+    form, and the count is table.order forms per key kept.  Only a
+    collision's message and the oracle's check take the coset's keys,
+    from one walk of the closure tree (right_products).  The oracle's set
+    must hold every coset, and is equal to the forms' when it also has as
+    many keys as there are forms.
+
+    The key's first field, the sde of R(B), must be len(blocks): a
+    certificate that every form with <= n blocks is T-optimal against
+    every circuit.  A Clifford's R is a signed permutation, which keeps
+    the sde, and R(T) has entries in Z[sqrt2]/sqrt2, so each T raises
+    the sde by at most 1: a circuit with m T gates has sde <= m."""
     _check_n(n)
     _check_table(table, "verify_uniqueness")
+    _check_clifford(table)
     okeys = brute_force_mn(n, table)[0] if with_oracle else None
 
     def products(blocks):
@@ -234,18 +261,29 @@ def verify_uniqueness(n, table, with_oracle=True):
             f"{next(iter(keys - okeys), None)}, oracle-only key "
             f"{next(iter(okeys - keys), None)}")
 
+    def collision(other, blocks):
+        # Each tuple's tail by the least key the two cosets share.
+        first, second = products(other), products(blocks)
+        key = min(set(first).intersection(second))
+        return VerificationFailure(
+            "distinct normal forms share a matrix: "
+            f"{NormalForm(other, first.index(key))} vs "
+            f"{NormalForm(blocks, second.index(key))}")
+
     seen = {}
     for blocks in block_tuples(n):
-        keys = products(blocks)
-        key = min(keys)
+        m = _blocks_matrix(blocks, table).scaled_key()
+        key = coset_key(m)
         other = seen.get(key)
         if other is not None:
+            raise collision(other, blocks)
+        if key[0] != len(blocks):
             raise VerificationFailure(
-                "distinct normal forms share a matrix: "
-                f"{NormalForm(other, products(other).index(key))} vs "
-                f"{NormalForm(blocks, keys.index(key))}")
+                f"T-count certificate fails: blocks {blocks} have Bloch "
+                f"sde {key[0]}")
         seen[key] = blocks
-        if okeys is not None and not okeys.issuperset(keys):
+        if okeys is not None and not okeys.issuperset(
+                table.right_products(m)):
             raise oracle_mismatch()
     total = table.order * len(seen)
     if okeys is not None and len(okeys) != total:

@@ -19,7 +19,9 @@ itself steps on flat keys with ring._gate_mul, so an H or P step is a
 column sum and difference or a column rotation, not a full product.  The
 table keeps the closure tree, and GroupTable.right_products walks it to
 multiply one matrix by every element with one generator step per
-element.
+element; census's uniqueness sweep keys each coset by its Bloch matrix
+instead, and takes these products only for its oracle check and a
+collision's message.
 """
 
 from __future__ import annotations
@@ -57,20 +59,24 @@ class GroupTable:
         sum and difference for the ring's own H and a column rotation for
         its own P.  Every other table is read off the tree it grows by
         table lookups, with no matrix product; the tree is kept for
-        right_products.
+        right_products (census's oracle check and collision message).
 
-        A name that is not one letter, is T (the gate the table conjugates
-        by), is one that parse drops (I, '.', '|' or whitespace) or repeats
-        an earlier name raises ValueError, and a matrix that is not a UMat2
-        raises TypeError.  Raises ClosureExceedsLimit if more than
-        CLOSURE_LIMIT distinct elements appear, so the generators of an
-        infinite group, such as {H, T}, cannot loop forever.  T is the
-        non-Clifford gate used for the conjugation subgroup and cosets.
+        A name that is not a str raises TypeError.  A name that is not one
+        letter, is T (the gate the table conjugates by), is one that parse
+        drops (I, '.', '|' or whitespace) or repeats an earlier name raises
+        ValueError, and a matrix that is not a UMat2 raises TypeError.
+        Raises ClosureExceedsLimit if more than CLOSURE_LIMIT distinct
+        elements appear, so the generators of an infinite group, such as
+        {H, T}, cannot loop forever.  T is the non-Clifford gate used for
+        the conjugation subgroup and cosets.
         """
         gens = [(name, mat) for name, mat in generators]
         if not gens:
             raise ValueError("at least one generator required")
         for pos, (name, mat) in enumerate(gens):
+            if not isinstance(name, str):
+                raise TypeError(f"generator name {name!r} must be a str, "
+                                f"not {type(name).__name__}")
             if len(name) != 1:
                 raise ValueError(
                     f"generator names must be single letters: {name!r}")

@@ -17,7 +17,8 @@ so applying a matrix to a state builds no per-entry objects either.
 A product by one generator is cheaper still: _gate_mul takes the ring's
 own P as a rotation of column 1 and its own H as a column sum and
 difference with one joint reduction, which is what the group closure
-and its tree walk (group.GroupTable.right_products) step by.
+and its tree walk (group.GroupTable.right_products, which census takes
+only for its oracle check and a collision's message) step by.
 """
 
 from __future__ import annotations

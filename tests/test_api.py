@@ -1,7 +1,7 @@
 """One standing probe of the public API: each public function, class
-constructor and method of ring, group, rules, normalize, stab, census
-and verify, and of a GroupTable, UMat2 and RingElem, gets one bad value
-in one parameter and cheap valid values by name in the others.  Only
+constructor and method of ring, bloch, group, rules, normalize, stab,
+census and verify, and of a GroupTable, UMat2 and RingElem, gets one bad
+value in one parameter and cheap valid values by name in the others.  Only
 TypeError, ValueError and the package's own exceptions may leave, and a
 guarded slot raises its exact message.  Enums, exceptions, cli.main (see
 test_cli) and verify.run_all (it reports every exception) are left out.
@@ -12,11 +12,12 @@ from enum import Enum
 
 import pytest
 
-from hptcanon import census, group, normalize, ring, rules, stab, verify
+from hptcanon import (bloch, census, group, normalize, ring, rules, stab,
+                      verify)
 from hptcanon.normalize import Block, NormalForm
 from hptcanon.stab import StabTriple
 
-_MODULES = (ring, group, rules, normalize, stab, census, verify)
+_MODULES = (ring, bloch, group, rules, normalize, stab, census, verify)
 # The instances whose public methods are probed; a GroupTable is `table`.
 _INSTANCES = {group.GroupTable: None, ring.UMat2: ring.H,
               ring.RingElem: ring.ONE}

@@ -236,6 +236,43 @@ def test_verify_uniqueness_with_oracle(table):
 
 
 @pytest.mark.parametrize("basis", ["HP", "RP"])
+def test_verify_uniqueness_certifies_ten_blocks(basis, table, r_rules):
+    tab = table if basis == "HP" else r_rules.table
+    assert verify_uniqueness(10, tab, with_oracle=False) == \
+        count_closed_form(10)
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([("P", ring.P)], 4),
+    # T*<H,P>*T_adj: 192 elements, but T*H*T_adj is not a Clifford.
+    ([("A", ring.T * ring.H * ring.T.adjoint()), ("P", ring.P)], 192),
+], ids=["order-4", "not-clifford"])
+def test_verify_uniqueness_refuses_a_table_that_is_not_the_cliffords(
+        gens, order):
+    tab = GroupTable(gens)
+    assert tab.order == order
+    with pytest.raises(ValueError, match="^verify_uniqueness\\(\\) table "
+                       "must be the 192-element Clifford group$"):
+        verify_uniqueness(1, tab, with_oracle=False)
+
+
+def test_verify_uniqueness_certifies_the_t_count(table, monkeypatch):
+    # (T,) gets the matrix of (T, HT): a coset of its own, but its Bloch
+    # sde is 2, not its one block.
+    real = census._blocks_matrix
+
+    def two_ts(blocks, tab):
+        return real((Block.T, Block.HT) if blocks == (Block.T,) else blocks,
+                    tab)
+
+    monkeypatch.setattr(census, "_blocks_matrix", two_ts)
+    with pytest.raises(census.VerificationFailure) as failure:
+        verify_uniqueness(1, table, with_oracle=False)
+    assert str(failure.value) == (
+        f"T-count certificate fails: blocks {(Block.T,)} have Bloch sde 2")
+
+
+@pytest.mark.parametrize("basis", ["HP", "RP"])
 def test_a_block_tuples_coset_has_order_distinct_keys(basis, table, r_rules):
     # The step that lets verify_uniqueness keep one key per block tuple: B
     # is invertible, so B*g runs through order distinct keys.

@@ -28,19 +28,26 @@ def test_group_table_refuses_non_matrix_generators():
         GroupTable([("H", 5)])
 
 
-@pytest.mark.parametrize("gens, message", [
+@pytest.mark.parametrize("gens, kind, message", [
     # T would be read as a generator by the rules but as ring.T by evaluate.
-    ([("T", ring.H), ("P", ring.P)],
+    ([("T", ring.H), ("P", ring.P)], ValueError,
      "generator name 'T' is taken by the T gate"),
     # A repeat would leave gates and letter_step one generator short.
-    ([("H", ring.H), ("H", ring.P)], "generator name 'H' is repeated"),
+    ([("H", ring.H), ("H", ring.P)], ValueError,
+     "generator name 'H' is repeated"),
     # parse drops these, so normalize(parse(w)) would drop the gate.
-    *[([("H", ring.H), (ch, ring.P)],
+    *[([("H", ring.H), (ch, ring.P)], ValueError,
        f"generator name {ch!r} is a character parse drops")
       for ch in ("I", ".", "|", " ", "\n")],
-], ids=["T", "repeat", "I", "dot", "bar", "space", "newline"])
-def test_group_table_refuses_names_that_would_misread(gens, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    # One item long, but no letter: parse and the rules read str names.
+    ([(b"H", ring.H), ("P", ring.P)], TypeError,
+     "generator name b'H' must be a str, not bytes"),
+    ([(("H",), ring.H), ("P", ring.P)], TypeError,
+     "generator name ('H',) must be a str, not tuple"),
+], ids=["T", "repeat", "I", "dot", "bar", "space", "newline", "bytes",
+        "tuple"])
+def test_group_table_refuses_names_that_would_misread(gens, kind, message):
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
         GroupTable(gens)
 
 

@@ -66,6 +66,23 @@ MUTANTS = (
            "src/hptcanon/ring.py",
            "e0 = p0*a0 - q0*d0",
            "e0 = p0*a0 + q0*d0"),
+    # bloch: the exact Bloch matrix and the coset key.
+    Mutant("bloch: the Y column's x is -Im(d*conj(a) - c*conj(b))",
+           "src/hptcanon/bloch.py",
+           "-y1 - y3, -y2, y1 - y3, y0,",
+           "y1 + y3, -y2, y1 - y3, y0,"),
+    Mutant("bloch: the entries share the least sqrt2 exponent",
+           "src/hptcanon/bloch.py",
+           "while e > 0 and not any(A & 1 for A in flat[::2]):",
+           "while False and not any(A & 1 for A in flat[::2]):"),
+    Mutant("coset_key signs each column by its first nonzero numerator",
+           "src/hptcanon/bloch.py",
+           "if next((v for v in col if v), 0) < 0:",
+           "if False:"),
+    Mutant("coset_key sorts the columns",
+           "src/hptcanon/bloch.py",
+           "    cols.sort()\n",
+           ""),
     # group: closure, derived tables and the table guard.
     Mutant("the table guard refuses a table that is not a GroupTable",
            "src/hptcanon/group.py",
@@ -85,6 +102,10 @@ MUTANTS = (
            "self.letter_step = dict(zip(gen_names, gen_step))",
            "self.letter_step = dict(zip(gen_names, [gen_step[0][:5] + "
            "gen_step[0][6:7] + gen_step[0][6:], *gen_step[1:]]))"),
+    Mutant("GroupTable refuses a generator name that is not a str",
+           "src/hptcanon/group.py",
+           "if not isinstance(name, str):",
+           "if False:"),
     Mutant("GroupTable refuses the generator name T",
            "src/hptcanon/group.py",
            '            if name == "T":\n',
@@ -256,14 +277,23 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "        if other is not None:\n",
            "        if False:\n"),
-    Mutant("verify_uniqueness keys a block tuple by its coset's least key",
+    Mutant("verify_uniqueness keys a block tuple by its coset, not its "
+           "Bloch matrix",
            "src/hptcanon/census.py",
-           "key = min(keys)",
-           "key = keys[0]"),
+           "key = coset_key(m)",
+           "key = bloch(m)"),
     Mutant("verify_uniqueness finds each form's key in the oracle's set",
            "src/hptcanon/census.py",
-           "if okeys is not None and not okeys.issuperset(keys):",
-           "if False:"),
+           "if okeys is not None and not okeys.issuperset(",
+           "if False and not okeys.issuperset("),
+    Mutant("verify_uniqueness refuses a table that is not the Cliffords",
+           "src/hptcanon/census.py",
+           "    _check_clifford(table)\n",
+           ""),
+    Mutant("verify_uniqueness certifies each tuple's sde as its T-count",
+           "src/hptcanon/census.py",
+           "        if key[0] != len(blocks):\n",
+           "        if False:\n"),
     Mutant("verify_uniqueness compares the oracle's size with the forms'",
            "src/hptcanon/census.py",
            "if okeys is not None and len(okeys) != total:",
