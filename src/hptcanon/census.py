@@ -30,7 +30,8 @@ class VerificationFailure(Exception):
 
 
 def _check_n(n):
-    if not isinstance(n, int):
+    # An int and not a bool: True would pass as 1 and print as True.
+    if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"n must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -81,6 +81,18 @@ def _check_triple(st, caller):
                         f"not {type(st).__name__}") from None
 
 
+def _coefficients(st, caller):
+    # (xa, xb, ya, yb, za, zb, level); the named errors on the error path.
+    try:
+        (xa, xb), (ya, yb), (za, zb), level = st
+    except (TypeError, ValueError):
+        _check_triple(st, caller)
+        raise
+    if level < 0:
+        raise ValueError(f"stabilizer triple level must be >= 0, got {level}")
+    return xa, xb, ya, yb, za, zb, level
+
+
 # Per table, the axes initial_stab has computed so far, indexed by
 # element id.  Weak keys: the memo neither keeps a table alive nor hands
 # one table's axes to another.
@@ -141,12 +153,9 @@ def _triple(xa, xb, ya, yb, za, zb, level):
 
 def step_block(st, block):
     """Triple for block * (current state); one more sqrt2 in the
-    denominator, pure integer updates on the six coefficients."""
-    try:
-        (xa, xb), (ya, yb), (za, zb), level = st
-    except (TypeError, ValueError):
-        _check_triple(st, "step_block")
-        raise
+    denominator, pure integer updates on the six coefficients.  A
+    negative level raises ValueError."""
+    _coefficients(st, "step_block")
     return _triple(*next(_fold(st, (block,))))
 
 
@@ -217,14 +226,12 @@ def law_walk(nf, table):
     return checks, ok, _triple(xa, xb, ya, yb, za, zb, level)
 
 
-def _numerators(st):
+def _numerators(st, caller="stab_matrix"):
     """The 16 numerators over sqrt2**level of x*X + y*Y + z*Z, row-major.
     A coefficient has numerator (a, b, 0, -b) (sqrt2 = omega - omega**3)
     and i*y has (0, yb, ya, yb), which gives the four entries.  A
     negative level raises ValueError."""
-    (xa, xb), (ya, yb), (za, zb), level = st
-    if level < 0:
-        raise ValueError(f"stabilizer triple level must be >= 0, got {level}")
+    xa, xb, ya, yb, za, zb, _ = _coefficients(st, caller)
     return (za, zb, 0, -zb, xa, xb - yb, -ya, -xb - yb,
             xa, xb + yb, ya, -xb + yb, -za, -zb, 0, zb)
 
@@ -246,15 +253,19 @@ def step_law_counterexample(table):
     Both sides are linear in the six coefficients, and a triple at level
     l + 2 is the same coefficients at level l divided by 2 on both sides.
     So the six unit triples at levels 0 and 1, for each of the three
-    blocks, prove the law for every triple: 36 exact comparisons.
+    blocks, prove the law for every triple: 36 exact comparisons, each
+    of two _mat_mul keys.  Its joint sqrt2 reduction makes a key canonical
+    whatever its inputs' reduction, so equal keys are equal matrices.
     """
     _check_table(table, "step_law_counterexample")
+    mul = ring._mat_mul
     for b in Block:
-        m = table.block_matrices[b]
+        key = table.block_matrices[b]._key
         for level in (0, 1):
             for i in range(6):
                 st = _triple(*(int(j == i) for j in range(6)), level)
-                if stab_matrix(step_block(st, b)) * m != m * stab_matrix(st):
+                step = (level + 1, *_numerators(step_block(st, b)))
+                if mul(step, key) != mul(key, (level, *_numerators(st))):
                     return b, level, st
     return None
 
@@ -265,19 +276,28 @@ def verify_stabilizes(st, m):
 
     With M = N / sqrt2**level (N from _numerators) and s = (u, v) / sqrt2**k,
     u and v the key's entries e00 and e10, the check is N (u, v) =
-    sqrt2**level (u, v), on integer numerators.  N (u, v) is column 0 of
-    the product of N with the matrix whose column 0 is (u, v) and whose
-    column 1 is zero: at exponent 0, _mat_mul takes no reduction step.
-    """
+    sqrt2**level (u, v), on integer numerators.  N is [[z, x - i*y],
+    [x + i*y, -z]]; a coefficient a + b*sqrt2 takes w to a*w + b*sqrt2*w,
+    and sqrt2*w and i*w only permute and sign w's numerators, so the check
+    takes 48 integer products and no _mat_mul."""
     if not isinstance(m, ring.UMat2):
         raise TypeError("verify_stabilizes() m must be a UMat2, "
                         f"not {type(m).__name__}")
-    u, v = m._key[1:5], m._key[9:13]
-    n = ring._mat_mul((0, *_numerators(st)),
-                      (0, *u, 0, 0, 0, 0, *v, 0, 0, 0, 0))
-    level = st[3]
-    return n[1:5] + n[9:13] == (ring._scaled(*u, level)
-                                + ring._scaled(*v, level))
+    xa, xb, ya, yb, za, zb, level = _coefficients(st, "verify_stabilizes")
+    u0, u1, u2, u3 = u = m._key[1:5]
+    v0, v1, v2, v3 = v = m._key[9:13]
+    r0, r1, r2, r3 = u1 - u3, u0 + u2, u1 + u3, u2 - u0  # sqrt2*u
+    s0, s1, s2, s3 = v1 - v3, v0 + v2, v1 + v3, v2 - v0  # sqrt2*v
+    # z*u + x*v - i*y*v over x*u + i*y*u - z*v, i*w = (-w2, -w3, w0, w1).
+    return (za*u0 + zb*r0 + xa*v0 + xb*s0 + ya*v2 + yb*s2,
+            za*u1 + zb*r1 + xa*v1 + xb*s1 + ya*v3 + yb*s3,
+            za*u2 + zb*r2 + xa*v2 + xb*s2 - ya*v0 - yb*s0,
+            za*u3 + zb*r3 + xa*v3 + xb*s3 - ya*v1 - yb*s1,
+            xa*u0 + xb*r0 - ya*u2 - yb*r2 - za*v0 - zb*s0,
+            xa*u1 + xb*r1 - ya*u3 - yb*r3 - za*v1 - zb*s1,
+            xa*u2 + xb*r2 + ya*u0 + yb*r0 - za*v2 - zb*s2,
+            xa*u3 + xb*r3 + ya*u1 + yb*r1 - za*v3 - zb*s3,
+            ) == ring._scaled(*u, level) + ring._scaled(*v, level)
 
 
 def nonidentity_witness(nf, table):

@@ -120,6 +120,7 @@ def check_counting(ctx, nmax=12):
     """
     t0 = time.perf_counter()
     order = _context(ctx, "check_counting")[0].order
+    census._check_n(nmax)
     layer = [0] * (nmax + 1)
     prev = None
     broken = None
@@ -250,12 +251,14 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
 
     The states are proved, not stepped.  stab.step_law_counterexample
     proves, for every triple at every level, that step_block(st, b)
-    stabilizes B s whenever st stabilizes s, and step_block is one step
-    of the same fold.  initial_stab is exact at level 0: it is read off
+    stabilizes B s whenever st stabilizes s, by 36 comparisons of
+    canonical flat keys, and step_block is one step of the same fold.
+    initial_stab is exact at level 0: it is read off
     f(W0)*Z*f(W0)^dagger.  By induction every triple of the fold
     stabilizes its prefix's state.  One exact end check per chain then
-    ties the fold to evaluate, which is independent of it: the last
-    triple must stabilize normal_form_matrix(nf)|0>.
+    ties the fold to the form's matrix, which is independent of it: the
+    last triple must stabilize normal_form_matrix(nf)|0>, checked by
+    verify_stabilizes' integer kernel on that matrix's column 0.
 
     Per chain, every transition must follow the law, the last triple
     must be at level k, its class must be T1..T9
@@ -264,6 +267,9 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     law gives ok=False and names its first counterexample's block and
     level in the detail.
     """
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise TypeError("check_stab_chains() count must be an int, "
+                        f"not {type(count).__name__}")
     if count < 0:
         raise ValueError(
             f"check_stab_chains() count must be >= 0, got {count}")

@@ -31,7 +31,7 @@ _LOOSE_CTX = ({"table": None, "rules": None},
 # A ctx whose rules were built for another table.
 _MISMATCHED_CTX = {"table": _P_TABLE,
                    "rules": rules.build_rules(group.build_standard_table())}
-_BAD = (None, 1.5, "x", -1, _BIG, (), [], {}, object(),
+_BAD = (None, True, 1.5, "x", -1, _BIG, (), [], {}, object(),
         NormalForm((), 500), NormalForm((Block.HT, 7), 0), b"HT",
         ((0, 0), (0, 0), (1, 0)), _PLAIN_TRIPLE, ring.H, ring.KET0,
         *_LOOSE_CTX, _MISMATCHED_CTX)
@@ -94,7 +94,8 @@ def _named(name, param, bad):
     if param == "nf" and not isinstance(bad, NormalForm):
         return TypeError, f"{name}() form must be a NormalForm, not {kind}"
     if (param == "st" and bad is not _PLAIN_TRIPLE
-            and name in ("classify", "parity_code", "step_block")):
+            and name in ("classify", "parity_code", "step_block",
+                         "stab_matrix", "verify_stabilizes")):
         return TypeError, f"{name}() triple must be a StabTriple, not {kind}"
     if param in ("circuit", "c1", "c2", "text") and isinstance(bad, str):
         return None
@@ -103,13 +104,17 @@ def _named(name, param, bad):
     if param == "text":
         return TypeError, (f"{name}() text must be a str, not {kind}"
                            if name == "parse_fixture" else None)
-    if param == "n" and not isinstance(bad, int):
+    if param in _SIZES - {"count"} and (
+            isinstance(bad, bool) or not isinstance(bad, int)):
         return TypeError, f"n must be an int, not {kind}"
-    if param == "n" and bad < 0:
+    if param in _SIZES - {"count"} and bad < 0:
         return ValueError, f"n must be >= 0, got {bad}"
     if param == "exact" and not isinstance(bad, bool):
         return TypeError, f"{name}() exact must be a bool, not {kind}"
-    if param == "count" and isinstance(bad, int) and bad < 0:
+    if param == "count" and (isinstance(bad, bool)
+                             or not isinstance(bad, int)):
+        return TypeError, f"{name}() count must be an int, not {kind}"
+    if param == "count" and bad < 0:
         return ValueError, f"{name}() count must be >= 0, got {bad}"
     if name == "RingElem" and not isinstance(bad, int):
         return (TypeError, "RingElem() coefficients and exponent must be "

@@ -100,6 +100,8 @@ def test_step_t_on_x_axis():
 def test_step_ht():
     st = step_block(StabTriple((0, 1), (0, 0), (0, 0), 1), Block.HT)
     assert st == StabTriple((0, 0), (0, -1), (0, 1), 2)
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        step_block(StabTriple((0, 1), (0, 0), (0, 0), -1), Block.HT)
 
 
 def test_step_law_holds_and_names_a_wrong_coefficient(table, monkeypatch):
@@ -226,27 +228,48 @@ def test_verify_stabilizes():
         verify_stabilizes(z_axis._replace(level=-1), ring.IDENTITY)
 
 
-def test_flat_check_matches_stab_matrix_on_chains(table):
-    # The flat check against its specification, M s = s for s column 0 of
-    # the chain's matrix and M built by stab_matrix, on the true triple
-    # and on two mutations of it.
+def _axis(m, level):
+    # The true triple at `level` of the state m|0>, read off m*Z*m^dagger
+    # as initial_stab does: e00 is z and e10 is x + i*y, whose numerator
+    # is (x_a, x_b + y_b, y_a, y_b - x_b).
+    k, *n = (m * ring.PAULI_Z * m.adjoint()).scaled_key()
+    za, zb, _, _ = ring._scaled(*n[:4], level - k)
+    xa, p, ya, q = ring._scaled(*n[8:12], level - k)
+    return StabTriple((xa, (p - q) // 2), (ya, (p + q) // 2), (za, zb), level)
+
+
+def test_flat_check_matches_stab_matrix_on_chains(table, r_rules):
+    # The flat kernel against its specification, M s = s for s column 0 of
+    # the chain's matrix and M built by stab_matrix, at levels 0..30 on
+    # <H,P> and <R,P>.  The true triple is read off m*Z*m^dagger (on <H,P>
+    # it is the fold's too); four wrong ones must fail: a coefficient off
+    # by 2, the level off by one, y negated (the mirror state, caught when
+    # y != 0: a wrong sign of i*y) and the whole triple negated (the
+    # orthogonal state).
     rng = random.Random(59)
-    for _ in range(200):
-        cliff = rng.randrange(table.order)
-        st = initial_stab(cliff, table)
-        m = table.elements[cliff]
-        for _ in range(rng.randint(0, 30)):
-            b = rng.choice((Block.T, Block.HT, Block.PHT))
-            st = step_block(st, b)
-            m = table.block_matrices[b] * m
+    for t in (table, r_rules.table):
+        for level in [*range(31)] * 6:
+            cliff = rng.randrange(t.order)
+            st, m = initial_stab(cliff, t), t.elements[cliff]
+            for _ in range(level):
+                b = rng.choice(tuple(Block))
+                st, m = step_block(st, b), t.block_matrices[b] * m
+            true = _axis(m, level)
+            assert t is not table or st == true
             axis = rng.randrange(3)
-            pair = list(st[axis])
+            pair = list(true[axis])
             pair[rng.randrange(2)] += 2
-            off_by_two = st._replace(**{"xyz"[axis]: tuple(pair)})
-            wrong_level = st._replace(level=st.level + rng.choice((-1, 1)))
-            for cand, want in ((st, True), (off_by_two, False),
-                               (wrong_level, False)):
-                assert verify_stabilizes(cand, m) is want, cand
+            cands = [(true, True),
+                     (true._replace(**{"xyz"[axis]: tuple(pair)}), False),
+                     (true._replace(level=level + rng.choice((-1, 1))
+                                    if level else 1), False),
+                     (StabTriple(*(tuple(-c for c in v) for v in true[:3]),
+                                 level), False)]
+            if true.y != (0, 0):
+                cands.append((true._replace(y=(-true.y[0], -true.y[1])),
+                              False))
+            for cand, want in cands:
+                assert verify_stabilizes(cand, m) is want, (cand, m)
                 ms = stab_matrix(cand) * m
                 assert ((ms.e00, ms.e10) == (m.e00, m.e10)) is want
 

@@ -253,6 +253,10 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "    if not isinstance(exact, bool):\n",
            "    if False:\n"),
+    Mutant("a size n refuses a bool",
+           "src/hptcanon/census.py",
+           "    if not isinstance(n, int) or isinstance(n, bool):\n",
+           "    if not isinstance(n, int):\n"),
     Mutant("enumeration reaches n blocks",
            "src/hptcanon/census.py",
            "for k in range(1, n + 1)))",
@@ -351,6 +355,10 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "    if not isinstance(st, StabTriple):\n",
            "    if False:\n"),
+    Mutant("step_block checks its triple",
+           "src/hptcanon/stab.py",
+           '    _coefficients(st, "step_block")\n',
+           ""),
     Mutant("stab_matrix reads a triple's level by position",
            "src/hptcanon/stab.py",
            "n, level = _numerators(st), st[3]",
@@ -365,8 +373,20 @@ MUTANTS = (
            "    if not hasattr(m, \"_key\"):\n"),
     Mutant("verify_stabilizes compares at the triple's level",
            "src/hptcanon/stab.py",
-           "    level = st[3]\n",
-           "    level = 0\n"),
+           ") == ring._scaled(*u, level) + ring._scaled(*v, level)",
+           ") == ring._scaled(*u, 0) + ring._scaled(*v, 0)"),
+    Mutant("verify_stabilizes: -i*y*v in the top row",
+           "src/hptcanon/stab.py",
+           "za*u0 + zb*r0 + xa*v0 + xb*s0 + ya*v2 + yb*s2,",
+           "za*u0 + zb*r0 + xa*v0 + xb*s0 - ya*v2 + yb*s2,"),
+    Mutant("verify_stabilizes takes sqrt2 times u",
+           "src/hptcanon/stab.py",
+           "r0, r1, r2, r3 = u1 - u3, u0 + u2, u1 + u3, u2 - u0",
+           "r0, r1, r2, r3 = u0, u1, u2, u3"),
+    Mutant("the step law takes the stepped triple one level up",
+           "src/hptcanon/stab.py",
+           "step = (level + 1, *_numerators(step_block(st, b)))",
+           "step = (level, *_numerators(step_block(st, b)))"),
     Mutant("_LAW: family A under HT goes to T2",
            "src/hptcanon/stab.py",
            '"A": (ParityClass.T3, ParityClass.T2, ParityClass.T1),',
@@ -416,6 +436,14 @@ MUTANTS = (
            "src/hptcanon/verify.py",
            "    if count < 0:\n",
            "    if False:\n"),
+    Mutant("stabilizer-chains refuses a count that is not an int",
+           "src/hptcanon/verify.py",
+           "    if not isinstance(count, int) or isinstance(count, bool):\n",
+           "    if False:\n"),
+    Mutant("counting checks nmax before it sizes its layers",
+           "src/hptcanon/verify.py",
+           "    census._check_n(nmax)\n",
+           ""),
     Mutant("counting runs to n = 12",
            "src/hptcanon/verify.py",
            "def check_counting(ctx, nmax=12):",
