@@ -9,11 +9,12 @@ evaluating the normal forms exactly, one block tuple at a time, each
 keyed by its Clifford coset's exact Bloch columns (bloch.coset_key, no
 product by a tail), whose exponent also certifies T-optimality; and by a
 brute-force closure oracle on flat matrix keys that never consults the
-normalizer, rules or ring products.  The oracle keeps one key per orbit
-of the diagonal Cliffords D, the diag(omega**a, omega**b) that commute
-with T: it takes one product per coset D*r and reduces each to its
-orbit's least key.  The other entry points take the group table they
-walk (<R,P> too).
+normalizer, rules or ring products.  The oracle's set is a union of
+whole orbits of the diagonal Cliffords D, the diag(omega**a, omega**b)
+that commute with T: it takes one product per coset D*r, drops a product
+already in the set and expands a new one to its orbit, so it reduces a
+key to its orbit's least key (_orbit_key) only at layer 0.  The other
+entry points take the group table they walk (<R,P> too).
 """
 
 from functools import partial
@@ -29,12 +30,14 @@ class VerificationFailure(Exception):
     first counterexample."""
 
 
-def _check_n(n):
-    # An int and not a bool: True would pass as 1 and print as True.
+def _check_n(n, name="n"):
+    # The one guard of a size, here and in verify's checks, which name
+    # themselves and their parameter.  An int and not a bool: True would
+    # pass as 1 and print as True.
     if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, not {type(n).__name__}")
+        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"{name} must be >= 0, got {n}")
 
 
 def count_closed_form(n, exact=False):
@@ -169,11 +172,16 @@ def brute_force_mn(n, table):
     layer, a layer is a union of orbits, and the c loop takes one r per
     coset D*r (6 on <H,P>), one product r*(T*m) each.  An invertible
     matrix has no zero row, so the 8 omega-rotations of a row are distinct
-    and D acts freely: _orbit_key reads an orbit's least key off the
-    rotations, and distinct keys mean disjoint orbits.  So a key already
-    in the set is dropped, each new orbit is expanded once, and the tiling
-    is checked by count: the group holds order/|D| orbits, and each layer
-    adds |D| keys per new orbit.
+    and D acts freely.  At layer 0, _orbit_key reads each orbit's least
+    key off the rotations, one representative per orbit of the group; it
+    is read nowhere else.  The set is then a union of whole orbits: the
+    group holds D, and every later key enters with its orbit.  So a
+    product already in the set has its orbit there and is dropped, and
+    any other opens a new orbit, expanded once from the product itself,
+    which stands for it in the next frontier (any member can: right
+    multiplication by d permutes the cosets D*r).  The tiling is checked
+    by count: the group holds order/|D| orbits, and each layer adds |D|
+    keys per new orbit.
 
     Returns (set of flat keys, per-layer new-matrix counts).
     """
@@ -196,10 +204,10 @@ def brute_force_mn(n, table):
         for m in frontier:
             tm = _flat_mul(t_key, m)
             for r in reps:
-                key = _orbit_key(_flat_mul(r, tm), paired)
-                if key not in total:
-                    total.update(_orbit(key, pairs))
-                    new.append(key)
+                prod = _flat_mul(r, tm)
+                if prod not in total:
+                    total.update(_orbit(prod, pairs))
+                    new.append(prod)
         layer_sizes.append(len(new) * len(pairs))
         if len(total) != sum(layer_sizes):
             raise VerificationFailure(f"D-orbits do not tile layer {layer}")

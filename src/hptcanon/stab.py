@@ -89,8 +89,12 @@ def _coefficients(st, caller):
         _check_triple(st, caller)
         raise
     if level < 0:
-        raise ValueError(f"stabilizer triple level must be >= 0, got {level}")
+        raise _level_error(level)
     return xa, xb, ya, yb, za, zb, level
+
+
+def _level_error(level):
+    return ValueError(f"stabilizer triple level must be >= 0, got {level}")
 
 
 # Per table, the axes initial_stab has computed so far, indexed by
@@ -166,17 +170,22 @@ def _code(xa, xb, ya, yb, za, zb):
 
 def parity_code(st):
     """The parities of (x_a, x_b, y_a, y_b, z_a, z_b), 1 = odd, as the
-    bits of a 6-bit code, x_a the highest."""
+    bits of a 6-bit code, x_a the highest.  A negative level raises
+    ValueError."""
     try:
-        (xa, xb), (ya, yb), (za, zb), _ = st
-        return _code(xa, xb, ya, yb, za, zb)
+        (xa, xb), (ya, yb), (za, zb), level = st
+        code = _code(xa, xb, ya, yb, za, zb)
     except (TypeError, ValueError):
         _check_triple(st, "parity_code")
         raise
+    if level < 0:
+        raise _level_error(level)
+    return code
 
 
 def classify(st):
-    """The parity class of st, T1..T9 or OTHER."""
+    """The parity class of st, T1..T9 or OTHER.  A negative level raises
+    ValueError."""
     try:
         return _CLASS_BY_CODE[parity_code(st)]
     except TypeError:
@@ -214,9 +223,15 @@ def law_walk(nf, table):
     block.  Returns (transitions checked, whether all held, stab_trace's
     last triple), counting the first broken transition and none after it."""
     _check_chain(nf, table, "law_walk")
-    (xa, xb), (ya, yb), (za, zb), level = st = initial_stab(nf.cliff, table)
+    return _law_walk(nf.blocks, nf.cliff, table)
+
+
+def _law_walk(blocks, cliff, table):
+    # law_walk unchecked, for callers that drew the block tuple and the
+    # tail id from the table's normal-form language themselves.
+    (xa, xb), (ya, yb), (za, zb), level = st = initial_stab(cliff, table)
     law = _LAW_BY_CODE[_code(xa, xb, ya, yb, za, zb)]
-    checks, ok, blocks = 0, True, nf.blocks[::-1]
+    checks, ok, blocks = 0, True, blocks[::-1]
     for b, (xa, xb, ya, yb, za, zb, level) in zip(blocks, _fold(st, blocks)):
         code = _code(xa, xb, ya, yb, za, zb)
         if law is not None and ok:

@@ -18,9 +18,9 @@ from typing import NamedTuple
 from . import census, ring, rules as rules_mod, stab
 from .group import (GroupTable, _check_table, build_standard_table,
                     quotient_profile, subgroup_ct)
-from .normalize import (FIRST_BLOCKS, REST_BLOCKS, NormalForm,
-                        _blocks_matrix, evaluate, invert, normal_form_matrix,
-                        normalize, parse, render)
+from .normalize import (FIRST_BLOCKS, REST_BLOCKS, _blocks_matrix,
+                        evaluate, invert, normal_form_matrix, normalize,
+                        parse, render)
 
 
 class CheckResult(NamedTuple):
@@ -118,9 +118,9 @@ def check_counting(ctx, nmax=12):
     tuple to tuple, and a tuple that breaks it breaks it at its first
     form, whose index is the number of forms before it.
     """
+    census._check_n(nmax, "check_counting() nmax")
     t0 = time.perf_counter()
     order = _context(ctx, "check_counting")[0].order
-    census._check_n(nmax)
     layer = [0] * (nmax + 1)
     prev = None
     broken = None
@@ -142,6 +142,7 @@ def check_counting(ctx, nmax=12):
 
 
 def check_oracle(ctx, oracle_max=4):
+    census._check_n(oracle_max, "check_oracle() oracle_max")
     t0 = time.perf_counter()
     count = census.verify_uniqueness(oracle_max,
                                      _context(ctx, "check_oracle")[0])
@@ -155,6 +156,7 @@ def check_oracle(ctx, oracle_max=4):
 def check_uniqueness(ctx, tmax=5):
     # A collision raises VerificationFailure (run_all reports it as a failed
     # check); the count is held to the closed form here, above n = 12 too.
+    census._check_n(tmax, "check_uniqueness() tmax")
     t0 = time.perf_counter()
     count = census.verify_uniqueness(
         tmax, _context(ctx, "check_uniqueness")[0], with_oracle=False)
@@ -245,9 +247,11 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     """Stabilizer folds of `count` seeded random chains of 2..30 blocks,
     against the paper's parity-class transition laws and exact states.
 
-    Each chain is walked once: stab.law_walk folds it from its tail's
-    axis, checks every class transition out of a family against the law
-    as it goes, and hands back the last triple for the end checks.
+    Each chain is walked once: stab._law_walk, law_walk without its form
+    guard (the chains are drawn from the normal-form language here),
+    folds it from its tail's axis, checks every class transition out of
+    a family against the law as it goes, and hands back the last triple
+    for the end checks.
 
     The states are proved, not stepped.  stab.step_law_counterexample
     proves, for every triple at every level, that step_block(st, b)
@@ -267,12 +271,7 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
     law gives ok=False and names its first counterexample's block and
     level in the detail.
     """
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise TypeError("check_stab_chains() count must be an int, "
-                        f"not {type(count).__name__}")
-    if count < 0:
-        raise ValueError(
-            f"check_stab_chains() count must be >= 0, got {count}")
+    census._check_n(count, "check_stab_chains() count")
     t0 = time.perf_counter()
     table = _context(ctx, "check_stab_chains")[0]
     counterexample = stab.step_law_counterexample(table)
@@ -285,7 +284,7 @@ def check_stab_chains(ctx, count=10000, seed=20260825):
         blocks = (choice(FIRST_BLOCKS),
                   *map(choice, repeat(REST_BLOCKS, k - 1)))
         cliff = rng.randrange(table.order)
-        checks, ok, last = stab.law_walk(NormalForm(blocks, cliff), table)
+        checks, ok, last = stab._law_walk(blocks, cliff, table)
         law_checks += checks
         m = _blocks_matrix(blocks, table) * table.elements[cliff]
         if (not ok or last.level != k

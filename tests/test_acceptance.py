@@ -147,12 +147,12 @@ def test_stabilizer_chains_must_end_in_a_parity_class(table, rules,
 
 def test_law_walk_counts_sum_to_the_chains_detail(table, rules, monkeypatch):
     walks = []
-    law_walk = stab.law_walk
+    law_walk = stab._law_walk
 
-    def recorded(nf, table):
-        walks.append(law_walk(nf, table))
+    def recorded(blocks, cliff, table):
+        walks.append(law_walk(blocks, cliff, table))
         return walks[-1]
-    monkeypatch.setattr(stab, "law_walk", recorded)
+    monkeypatch.setattr(stab, "_law_walk", recorded)
     res = verify.check_stab_chains({"table": table, "rules": rules}, count=20)
     assert (len(walks), all(ok for _, ok, _ in walks)) == (20, True)
     assert res.detail.startswith(

@@ -104,18 +104,15 @@ def _named(name, param, bad):
     if param == "text":
         return TypeError, (f"{name}() text must be a str, not {kind}"
                            if name == "parse_fixture" else None)
-    if param in _SIZES - {"count"} and (
-            isinstance(bad, bool) or not isinstance(bad, int)):
-        return TypeError, f"n must be an int, not {kind}"
-    if param in _SIZES - {"count"} and bad < 0:
-        return ValueError, f"n must be >= 0, got {bad}"
+    # census names its size n; a check names itself and its parameter.
+    size = "n" if param == "n" else f"{name}() {param}"
+    if param in _SIZES and (isinstance(bad, bool)
+                            or not isinstance(bad, int)):
+        return TypeError, f"{size} must be an int, not {kind}"
+    if param in _SIZES and bad < 0:
+        return ValueError, f"{size} must be >= 0, got {bad}"
     if param == "exact" and not isinstance(bad, bool):
         return TypeError, f"{name}() exact must be a bool, not {kind}"
-    if param == "count" and (isinstance(bad, bool)
-                             or not isinstance(bad, int)):
-        return TypeError, f"{name}() count must be an int, not {kind}"
-    if param == "count" and bad < 0:
-        return ValueError, f"{name}() count must be >= 0, got {bad}"
     if name == "RingElem" and not isinstance(bad, int):
         return (TypeError, "RingElem() coefficients and exponent must be "
                 f"int, not {kind}")

@@ -194,6 +194,21 @@ def test_oracle_refuses_orbits_that_do_not_tile(layer, table, monkeypatch):
         brute_force_mn(2, table)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_takes_orbit_keys_only_at_layer_0(n, table, monkeypatch):
+    # One _orbit_key per group element picks the layer-0 representatives;
+    # a later layer's product is dropped or expanded as it comes.
+    calls = []
+    orbit_key = census._orbit_key
+
+    def counted(key, paired):
+        calls.append(key)
+        return orbit_key(key, paired)
+    monkeypatch.setattr(census, "_orbit_key", counted)
+    brute_force_mn(n, table)
+    assert len(calls) == table.order
+
+
 @pytest.fixture(scope="module")
 def oracle_runs(table):
     """`brute_force_mn(n)` for n = 0..4, computed once for this module."""

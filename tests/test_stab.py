@@ -124,6 +124,11 @@ def test_classify_examples():
     assert classify(StabTriple((0, 0), (0, -1), (0, 1), 2)) == ParityClass.T2
     assert classify(StabTriple((0, 0), (0, 0), (0, 1), 1)) == \
         ParityClass.OTHER
+    # The x axis at level -1: refused as step_block refuses it.
+    for fn in (classify, parity_code):
+        with pytest.raises(ValueError, match="^stabilizer triple level "
+                                             "must be >= 0, got -1$"):
+            fn(StabTriple((1, 0), (0, 0), (0, 0), -1))
 
 
 def test_parity_code_reads_the_parities_as_binary():
@@ -151,6 +156,21 @@ def test_law_walk_stops_at_the_first_broken_transition(table, monkeypatch):
         monkeypatch.setattr(stab, "_code", lambda *c, j=j, n=count():
                             0 if next(n) == j else real(*c))
         assert law_walk(nf, table)[:2] == (j - 2, False)
+
+
+def test_unchecked_walk_is_law_walk_on_the_chains_draw(table, r_rules):
+    # check_stab_chains' draw for one seed: its unchecked walk is
+    # law_walk's, on <H,P> and <R,P>.
+    for t in (table, r_rules.table):
+        rng = random.Random(20260825)
+        for _ in range(300):
+            k = rng.randint(2, 30)
+            blocks = (rng.choice(normalize.FIRST_BLOCKS),
+                      *(rng.choice(normalize.REST_BLOCKS)
+                        for _ in range(k - 1)))
+            cliff = rng.randrange(t.order)
+            assert (stab._law_walk(blocks, cliff, t)
+                    == law_walk(NormalForm(blocks, cliff), t)), blocks
 
 
 def _reference_walk(nf, table, law):

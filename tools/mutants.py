@@ -257,6 +257,10 @@ MUTANTS = (
            "src/hptcanon/census.py",
            "    if not isinstance(n, int) or isinstance(n, bool):\n",
            "    if not isinstance(n, int):\n"),
+    Mutant("a size refuses a negative value",
+           "src/hptcanon/census.py",
+           "    if n < 0:\n",
+           "    if False:\n"),
     Mutant("enumeration reaches n blocks",
            "src/hptcanon/census.py",
            "for k in range(1, n + 1)))",
@@ -316,8 +320,12 @@ MUTANTS = (
            "bottom[paired[a][0]]"),
     Mutant("the oracle drops a key already in its set",
            "src/hptcanon/census.py",
-           "                if key not in total:\n",
+           "                if prod not in total:\n",
            "                if True:\n"),
+    Mutant("the oracle expands a new orbit from its product",
+           "src/hptcanon/census.py",
+           "total.update(_orbit(prod, pairs))",
+           "total.update(_orbit(tm, pairs))"),
     Mutant("the group's D-orbits tile it, by count",
            "src/hptcanon/census.py",
            "    if len(total) != layer_sizes[0]:\n",
@@ -395,6 +403,11 @@ MUTANTS = (
            "src/hptcanon/stab.py",
            "        if law is not None and ok:\n",
            "        if law is not None:\n"),
+    Mutant("parity_code refuses a negative level",
+           "src/hptcanon/stab.py",
+           "    if level < 0:\n        raise _level_error(level)\n"
+           "    return code\n",
+           "    return code\n"),
     Mutant("law_walk returns the fold's last triple, not the initial one",
            "src/hptcanon/stab.py",
            "    return checks, ok, _triple(xa, xb, ya, yb, za, zb, level)\n",
@@ -432,17 +445,29 @@ MUTANTS = (
            "src/hptcanon/verify.py",
            "    ok = count == census.count_closed_form(tmax)\n",
            "    ok = True\n"),
-    Mutant("stabilizer-chains refuses a negative count",
+    Mutant("stabilizer-chains walks each chain from its tail",
            "src/hptcanon/verify.py",
-           "    if count < 0:\n",
-           "    if False:\n"),
-    Mutant("stabilizer-chains refuses a count that is not an int",
+           "stab._law_walk(blocks, cliff, table)",
+           "stab._law_walk(blocks, 0, table)"),
+    Mutant("stabilizer-chains' end matrix takes the tail",
            "src/hptcanon/verify.py",
-           "    if not isinstance(count, int) or isinstance(count, bool):\n",
-           "    if False:\n"),
+           "m = _blocks_matrix(blocks, table) * table.elements[cliff]",
+           "m = _blocks_matrix(blocks, table)"),
+    Mutant("stabilizer-chains checks its count",
+           "src/hptcanon/verify.py",
+           '    census._check_n(count, "check_stab_chains() count")\n',
+           ""),
     Mutant("counting checks nmax before it sizes its layers",
            "src/hptcanon/verify.py",
-           "    census._check_n(nmax)\n",
+           '    census._check_n(nmax, "check_counting() nmax")\n',
+           ""),
+    Mutant("oracle-match names itself for a bad oracle_max",
+           "src/hptcanon/verify.py",
+           '    census._check_n(oracle_max, "check_oracle() oracle_max")\n',
+           ""),
+    Mutant("uniqueness names itself for a bad tmax",
+           "src/hptcanon/verify.py",
+           '    census._check_n(tmax, "check_uniqueness() tmax")\n',
            ""),
     Mutant("counting runs to n = 12",
            "src/hptcanon/verify.py",
